@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime/validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -155,6 +156,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--pgm-lo", type=float, default=0.0)
     sp.add_argument("--pgm-hi", type=float, default=1.0)
     return p
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use: parsing never changes it, so every
+    call in the process shares it."""
+    return build_parser()
 
 
 def _cmd_phantom(args) -> int:
@@ -344,9 +352,8 @@ _COMMANDS = {
 
 
 def cli(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,6 +7,11 @@ downsampling, nearest-neighbor upsampling, skip connections by channel
 concatenation, and a final zero-initialized 1x1 linear convolution to the two
 displacement channels. Everything is float64 numpy; forward and backward are
 hand-rolled so gradients are exact and runs are bit-reproducible.
+
+The public passes take and return (B, C, H, W) batches; between the input and
+output transposes the layer primitives work on channels-last (B, H, W, C)
+arrays, each conv as one im2col patch matrix times the kernel reordered to
+(kh*kw*in, out). Kernels are stored (out, in, kh, kw), as in checkpoints.
 """
 
 from __future__ import annotations
@@ -16,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, IoFailure, ShapeMismatch, TruncatedPayload, UnsupportedVersion
+from .errors import (
+    BadMagic,
+    InvalidSpec,
+    IoFailure,
+    ShapeMismatch,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 from .fields import ALL_LABELS, DisplacementField, LabelField, ScalarField
 
 LEAKY_SLOPE = 0.2
@@ -52,6 +64,12 @@ class NetWeights:
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
+        if not self.channels or min(self.channels) < 1:
+            raise InvalidSpec(
+                f"need at least one level of positive widths, got {self.channels}")
+        if self.in_channels != IN_CHANNELS:
+            raise ShapeMismatch(
+                f"network takes {IN_CHANNELS} input channels, got {self.in_channels}")
         expected = layer_shapes(self.in_channels, self.channels)
         if len(self.kernels) != len(expected) or len(self.biases) != len(expected):
             raise ShapeMismatch("wrong number of parameter blocks")
@@ -66,12 +84,11 @@ class NetWeights:
         return len(self.channels)
 
 
-def init_weights(seed: int, channels: tuple[int, ...] = DEFAULT_CHANNELS,
-                 in_channels: int = IN_CHANNELS) -> NetWeights:
+def init_weights(seed: int, channels: tuple[int, ...] = DEFAULT_CHANNELS) -> NetWeights:
     """He-style init for hidden layers; the final layer starts at zero so the
     untrained network predicts u = 0."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    shapes = layer_shapes(in_channels, channels)
+    shapes = layer_shapes(IN_CHANNELS, channels)
     kernels, biases = [], []
     for i, shape in enumerate(shapes):
         fan_in = shape[1] * shape[2] * shape[3]
@@ -80,81 +97,107 @@ def init_weights(seed: int, channels: tuple[int, ...] = DEFAULT_CHANNELS,
         else:
             kernels.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
         biases.append(np.zeros(shape[0]))
-    return NetWeights(channels=channels, in_channels=in_channels,
+    return NetWeights(channels=channels, in_channels=IN_CHANNELS,
                       kernels=kernels, biases=biases)
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives on (B, C, H, W) batches
+# Layer primitives on channels-last (B, H, W, C) batches. A 3x3 conv reads its
+# input from a zero-bordered (B, H+2, W+2, C) buffer that the previous layer
+# wrote into; the 1x1 head reads the last activation as it is.
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H*W, C*k*k) patch matrix, zero 'same' padding."""
-    b, c, h, w = x.shape
-    p = k // 2
-    if p:
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-        xp[:, :, p:-p, p:-p] = x
-    else:
-        xp = x
-    s = xp.strides
+def _padded(x: np.ndarray, p: int) -> np.ndarray:
+    """(B, H, W, C) -> (B, H+2p, W+2p, C) with a zero border of width p."""
+    if not p:
+        return x
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c))
+    xp[:, p:-p, p:-p] = x
+    return xp
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """Padded (B, H+k-1, W+k-1, C) -> (B*H*W, k*k*C) patch matrix whose
+    columns run over (kh, kw, c)."""
+    b, hp, wp, c = xp.shape
+    s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, c, h, w, k, k), strides=(s[0], s[1], s[2], s[3], s[2], s[3]))
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h * w, c * k * k)
+        xp, shape=(b, hp - k + 1, wp - k + 1, k, k, c),
+        strides=(s0, s1, s2, s1, s2, s3))
+    return windows.reshape(-1, k * k * c)
 
 
-def _conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
+def _conv_forward(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    b, c, h, w = x.shape
+    """Padded input -> (B, H, W, out) pre-activation and the patch matrix."""
     out_c, in_c, k, _ = kernel.shape
-    cols = _im2col(x, k)
-    flat = cols.reshape(b * h * w, in_c * k * k)
-    y = flat @ kernel.reshape(out_c, in_c * k * k).T + bias
-    return y.reshape(b, h, w, out_c).transpose(0, 3, 1, 2), cols
+    b, hp, wp, _ = xp.shape
+    cols = _im2col(xp, k)
+    y = cols @ kernel.transpose(2, 3, 1, 0).reshape(k * k * in_c, out_c)
+    y += bias
+    return y.reshape(b, hp - k + 1, wp - k + 1, out_c), cols
 
 
 def _conv_backward(dy: np.ndarray, cols: np.ndarray, kernel: np.ndarray,
-                   x_shape: tuple[int, ...], need_dx: bool = True
+                   need_dx: bool = True
                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    b, c, h, w = x_shape
+    """dy: (B, H, W, out) -> dx (B, H, W, in), dkernel, dbias."""
     out_c, in_c, k, _ = kernel.shape
-    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(b * h * w, out_c)
-    flat = cols.reshape(b * h * w, in_c * k * k)
-    dk = (dy_mat.T @ flat).reshape(kernel.shape)
+    dy_mat = dy.reshape(-1, out_c)
+    dk = np.ascontiguousarray(
+        (cols.T @ dy_mat).reshape(k, k, in_c, out_c).transpose(3, 2, 0, 1))
     db = dy_mat.sum(axis=0)
     if not need_dx:
         return None, dk, db
     # input gradient = same-padding convolution of dy with the channel-swapped,
     # spatially flipped kernel (valid for odd k)
-    kt = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    dx, _ = _conv_forward(dy, kt, np.zeros(in_c))
-    return dx, dk, db
+    flipped = kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * out_c, in_c)
+    dx = _im2col(_padded(dy, k // 2), k) @ flipped
+    return dx.reshape(dy.shape[:3] + (in_c,)), dk, db
 
 
 def _leaky_forward(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    """In place; max(x, slope*x) equals where(x > 0, x, slope*x) bit for bit."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
-def _leaky_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, dy, LEAKY_SLOPE * dy)
+def _leaky_backward(post: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """In place on dy. The post-activation has the sign of the pre-activation,
+    and (post > 0) * (1 - slope) + slope is exactly 1.0 or slope."""
+    dy *= (post > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+    return dy
 
 
-def _pool_forward(x: np.ndarray) -> np.ndarray:
-    b, c, h, w = x.shape
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """(B, H, W, C) view as (B, H/2, 2, W/2, 2, C) 2x2 blocks, for any strides."""
+    b, h, w, c = x.shape
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(b, h // 2, 2, w // 2, 2, c),
+        strides=(s0, 2 * s1, s1, 2 * s2, s2, s3))
+
+
+def _pool_forward(x: np.ndarray, out: np.ndarray) -> None:
+    """2x2 average of x written into out (B, H/2, W/2, C)."""
+    np.sum(_blocks(x), axis=(2, 4), out=out)
+    out *= 0.25
 
 
 def _pool_backward(dy: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3) * 0.25
+    b, h, w, c = dy.shape
+    dx = np.empty((b, 2 * h, 2 * w, c))
+    _blocks(dx)[...] = (0.25 * dy)[:, :, None, :, None]
+    return dx
 
 
-def _upsample_forward(x: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+def _upsample_forward(x: np.ndarray, out: np.ndarray) -> None:
+    """Nearest 2x upsampling of x written into out (B, 2H, 2W, C)."""
+    _blocks(out)[...] = x[:, :, None, :, None]
 
 
 def _upsample_backward(dy: np.ndarray) -> np.ndarray:
-    b, c, h, w = dy.shape
-    return dy.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    return _blocks(dy).sum(axis=(2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -181,61 +224,68 @@ def _check_divisible(shape: tuple[int, int], levels: int) -> None:
 
 def forward_batch(w: NetWeights, x: np.ndarray
                   ) -> tuple[np.ndarray, list]:
-    """x: (B, in_channels, H, W) -> (B, 2, H, W) plus the backward cache."""
+    """x: (B, in_channels, H, W) -> (B, 2, H, W) plus the backward cache.
+
+    Activations stay channels-last between the input and output transposes.
+    Pooling writes into the next encoder level's padded buffer; upsampling and
+    the skip write the two channel ranges of the decoder level's buffer."""
     _check_divisible(x.shape[2:], w.levels)
-    cache = []
-    skips = []
+    ch = w.channels
+    cache = []  # per layer: (patch matrix, post-activation or None)
+    dec_bufs = {}
+    buf = _padded(x.transpose(0, 2, 3, 1), 1)
     layer = 0
-    h = x
     for lvl in range(w.levels):
-        if lvl > 0:
-            h = _pool_forward(h)
-        pre, cols = _conv_forward(h, w.kernels[layer], w.biases[layer])
-        cache.append((h.shape, cols, pre))
-        h = _leaky_forward(pre)
+        h, cols = _conv_forward(buf, w.kernels[layer], w.biases[layer])
+        _leaky_forward(h)
+        cache.append((cols, h))
         if lvl < w.levels - 1:
-            skips.append(h)
+            b, hh, ww, _ = h.shape
+            dec_bufs[lvl] = np.zeros((b, hh + 2, ww + 2, ch[lvl + 1] + ch[lvl]))
+            dec_bufs[lvl][:, 1:-1, 1:-1, ch[lvl + 1]:] = h
+            buf = np.zeros((b, hh // 2 + 2, ww // 2 + 2, ch[lvl]))
+            _pool_forward(h, buf[:, 1:-1, 1:-1])
         layer += 1
     for lvl in range(w.levels - 2, -1, -1):
-        h = np.concatenate([_upsample_forward(h), skips[lvl]], axis=1)
-        pre, cols = _conv_forward(h, w.kernels[layer], w.biases[layer])
-        cache.append((h.shape, cols, pre))
-        h = _leaky_forward(pre)
+        buf = dec_bufs[lvl]
+        _upsample_forward(h, buf[:, 1:-1, 1:-1, :ch[lvl + 1]])
+        h, cols = _conv_forward(buf, w.kernels[layer], w.biases[layer])
+        _leaky_forward(h)
+        cache.append((cols, h))
         layer += 1
     y, cols = _conv_forward(h, w.kernels[layer], w.biases[layer])
-    cache.append((h.shape, cols, None))
-    return y, cache
+    cache.append((cols, None))
+    return y.transpose(0, 3, 1, 2), cache
 
 
 def backward_batch(w: NetWeights, cache: list, dy: np.ndarray
                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the parameter blocks given dL/d(output)."""
+    """Gradients of the parameter blocks given dL/d(output) in (B, 2, H, W)."""
     n_layers = len(w.kernels)
     dks = [None] * n_layers
     dbs = [None] * n_layers
 
     layer = n_layers - 1
-    x_shape, cols, _ = cache[layer]
-    dh, dks[layer], dbs[layer] = _conv_backward(dy, cols, w.kernels[layer], x_shape)
+    dh, dks[layer], dbs[layer] = _conv_backward(
+        np.ascontiguousarray(dy.transpose(0, 2, 3, 1)), cache[layer][0], w.kernels[layer])
 
     dskips = {}
     for lvl in range(0, w.levels - 1):  # decoder layers, shallowest first in cache order
         layer -= 1
-        x_shape, cols, pre = cache[layer]
-        dpre = _leaky_backward(pre, dh)
-        dcat, dks[layer], dbs[layer] = _conv_backward(dpre, cols, w.kernels[layer], x_shape)
-        up_c = dcat.shape[1] - w.channels[lvl]
-        dskips[lvl] = dcat[:, up_c:]
-        dh = _upsample_backward(dcat[:, :up_c])
+        cols, post = cache[layer]
+        dcat, dks[layer], dbs[layer] = _conv_backward(
+            _leaky_backward(post, dh), cols, w.kernels[layer])
+        up_c = w.channels[lvl + 1]
+        dskips[lvl] = dcat[..., up_c:]
+        dh = _upsample_backward(dcat[..., :up_c])
 
     for lvl in range(w.levels - 1, -1, -1):  # encoder layers, deepest first
         layer -= 1
-        x_shape, cols, pre = cache[layer]
+        cols, post = cache[layer]
         if lvl < w.levels - 1:
-            dh = dh + dskips[lvl]
-        dpre = _leaky_backward(pre, dh)
+            dh += dskips[lvl]
         dh, dks[layer], dbs[layer] = _conv_backward(
-            dpre, cols, w.kernels[layer], x_shape, need_dx=lvl > 0)
+            _leaky_backward(post, dh), cols, w.kernels[layer], need_dx=lvl > 0)
         if lvl > 0:
             dh = _pool_backward(dh)
     return dks, dbs

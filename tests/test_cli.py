@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from atrosim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cli
+import atrosim.cli as cli_module
+from atrosim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, build_parser, cli
 from atrosim.fieldio import read_field, write_field
 from atrosim.fields import DisplacementField, LabelField, ScalarField
 
@@ -30,6 +31,38 @@ class TestUsage:
 
     def test_missing_required_argument(self):
         assert cli(["phantom", "--out-labels", "x"]) == EXIT_USAGE
+
+
+class TestParserReuse:
+    def test_calls_share_one_parser_without_carrying_state(
+            self, phantom_files, tmp_path, monkeypatch):
+        # cli() builds its parser once per process; each call must still parse
+        # exactly as a freshly built parser would, whatever came before it
+        parsed = []
+        for name in ("warp", "eval"):
+            command = cli_module._COMMANDS[name]
+
+            def recording(args, command=command):
+                parsed.append(vars(args))
+                return command(args)
+            monkeypatch.setitem(cli_module._COMMANDS, name, recording)
+
+        u_path = str(tmp_path / "zero.atrf")
+        write_field(u_path, DisplacementField.zeros(32, 32))
+        bad = ["eval", "--atrophy", phantom_files["atrophy"], "--u", u_path,
+               "--out", str(tmp_path / "x.csv"), "--bogus"]
+        warp = ["warp", "--input", phantom_files["intensity"], "--u", u_path,
+                "--out", str(tmp_path / "warped.atrf")]
+        evaluate = ["eval", "--labels-a", phantom_files["labels"],
+                    "--labels-b", phantom_files["labels"],
+                    "--out", str(tmp_path / "m.csv")]
+        assert cli(bad) == EXIT_USAGE
+        assert cli(warp) == EXIT_OK
+        assert cli(evaluate) == EXIT_OK
+        assert parsed == [vars(build_parser().parse_args(warp)),
+                          vars(build_parser().parse_args(evaluate))]
+        assert parsed[1]["atrophy"] is None and parsed[1]["u"] is None
+        assert cli_module._parser() is cli_module._parser()
 
 
 class TestPhantomCommand:

@@ -1,20 +1,31 @@
+import struct
+
 import numpy as np
 import pytest
 
+from atrosim.cli import EXIT_RUNTIME, cli
+
 from atrosim.errors import (
     BadMagic,
+    InvalidSpec,
     IoFailure,
     ShapeMismatch,
     TruncatedPayload,
     UnsupportedVersion,
 )
+from atrosim.fieldio import write_field
 from atrosim.fields import GM, LabelField, ScalarField
 from atrosim.network import (
     DEFAULT_CHANNELS,
     IN_CHANNELS,
     NetWeights,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     _conv_backward,
     _conv_forward,
+    _leaky_backward,
+    _leaky_forward,
+    _padded,
     _pool_backward,
     _pool_forward,
     _upsample_backward,
@@ -68,38 +79,40 @@ class TestInitWeights:
 
 
 class TestConvLayer:
+    # The layer primitives work on channels-last (B, H, W, C) arrays; a 3x3
+    # conv reads a zero-bordered (B, H+2, W+2, C) buffer.
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 4, 4))
+        x = rng.normal(size=(2, 4, 4, 3))
         kernel = np.zeros((3, 3, 3, 3))
         for c in range(3):
             kernel[c, c, 1, 1] = 1.0
-        y, _ = _conv_forward(x, kernel, np.zeros(3))
+        y, _ = _conv_forward(_padded(x, 1), kernel, np.zeros(3))
         assert np.allclose(y, x)
 
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 2, 5, 5))
+        x = rng.normal(size=(1, 5, 5, 2))
         kernel = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
-        y, _ = _conv_forward(x, kernel, bias)
+        y, _ = _conv_forward(_padded(x, 1), kernel, bias)
         xp = np.zeros((1, 2, 7, 7))
-        xp[:, :, 1:-1, 1:-1] = x
+        xp[:, :, 1:-1, 1:-1] = x.transpose(0, 3, 1, 2)
         for oc in range(3):
             for yy in range(5):
                 for xx in range(5):
                     ref = bias[oc] + np.sum(
                         kernel[oc] * xp[0, :, yy:yy + 3, xx:xx + 3])
-                    assert np.isclose(y[0, oc, yy, xx], ref)
+                    assert np.isclose(y[0, yy, xx, oc], ref)
 
     def test_backward_matches_finite_difference(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 2, 4, 4))
+        x = rng.normal(size=(1, 4, 4, 2))
         kernel = rng.normal(size=(3, 2, 3, 3))
         bias = rng.normal(size=3)
-        dy = rng.normal(size=(1, 3, 4, 4))
-        y, cols = _conv_forward(x, kernel, bias)
-        dx, dk, db = _conv_backward(dy, cols, kernel, x.shape)
+        dy = rng.normal(size=(1, 4, 4, 3))
+        y, cols = _conv_forward(_padded(x, 1), kernel, bias)
+        dx, dk, db = _conv_backward(dy, cols, kernel)
         step = 1e-6
         for arr, grad in ((x, dx), (kernel, dk), (bias, db)):
             flat = arr.reshape(-1)
@@ -107,33 +120,51 @@ class TestConvLayer:
                                   replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + step
-                hi = float(np.sum(_conv_forward(x, kernel, bias)[0] * dy))
+                hi = float(np.sum(_conv_forward(_padded(x, 1), kernel, bias)[0] * dy))
                 flat[idx] = orig - step
-                lo = float(np.sum(_conv_forward(x, kernel, bias)[0] * dy))
+                lo = float(np.sum(_conv_forward(_padded(x, 1), kernel, bias)[0] * dy))
                 flat[idx] = orig
                 assert np.isclose(grad.reshape(-1)[idx],
                                   (hi - lo) / (2 * step), atol=1e-5)
 
 
+class TestLeaky:
+    def test_forward_and_backward_match_where(self):
+        rng = np.random.default_rng(8)
+        pre = rng.normal(size=(2, 4, 4, 3))
+        pre[0, 0, 0] = 0.0
+        dy = rng.normal(size=pre.shape)
+        post = _leaky_forward(pre.copy())
+        assert np.array_equal(post, np.where(pre > 0, pre, 0.2 * pre))
+        assert np.array_equal(_leaky_backward(post, dy.copy()),
+                              np.where(pre > 0, dy, 0.2 * dy))
+
+
 class TestPoolAndUpsample:
     def test_pool_averages(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        y = _pool_forward(x)
+        x = np.arange(16.0).reshape(1, 4, 4, 1)
+        y = np.empty((1, 2, 2, 1))
+        _pool_forward(x, y)
         assert np.isclose(y[0, 0, 0, 0], (0 + 1 + 4 + 5) / 4.0)
 
     def test_upsample_repeats(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        y = _upsample_forward(x)
-        assert np.array_equal(y[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2],
-                                        [3, 3, 4, 4], [3, 3, 4, 4]])
+        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
+        y = np.empty((1, 4, 4, 1))
+        _upsample_forward(x, y)
+        assert np.array_equal(y[0, :, :, 0], [[1, 1, 2, 2], [1, 1, 2, 2],
+                                              [3, 3, 4, 4], [3, 3, 4, 4]])
 
     def test_adjoint_identities(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 3, 8, 8))
-        z = rng.normal(size=(2, 3, 4, 4))
-        assert np.isclose(np.vdot(_pool_forward(x), z),
+        x = rng.normal(size=(2, 8, 8, 3))
+        z = rng.normal(size=(2, 4, 4, 3))
+        pooled = np.empty_like(z)
+        _pool_forward(x, pooled)
+        upsampled = np.empty_like(x)
+        _upsample_forward(z, upsampled)
+        assert np.isclose(np.vdot(pooled, z),
                           np.vdot(x, _pool_backward(z)))
-        assert np.isclose(np.vdot(_upsample_forward(z), x),
+        assert np.isclose(np.vdot(upsampled, x),
                           np.vdot(z, _upsample_backward(x)))
 
 
@@ -193,6 +224,158 @@ class TestForwardBackward:
                     flat[idx] = orig
                     assert np.isclose(grad.reshape(-1)[idx],
                                       (hi - lo) / (2 * step), atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# Plain per-pixel-loop reference of the encoder-decoder on (B, C, H, W)
+# arrays. It shares no code with atrosim.network: the conv input gradient is a
+# scatter of each output pixel's kernel, not a flipped-kernel convolution.
+# ---------------------------------------------------------------------------
+
+def _ref_conv(x, kernel, bias):
+    b, c, h, w = x.shape
+    out_c, _, k, _ = kernel.shape
+    p = k // 2
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = x
+    y = np.empty((b, out_c, h, w))
+    for n in range(b):
+        for i in range(h):
+            for j in range(w):
+                patch = xp[n, :, i:i + k, j:j + k]
+                for o in range(out_c):
+                    y[n, o, i, j] = bias[o] + np.sum(kernel[o] * patch)
+    return y
+
+
+def _ref_conv_backward(x, kernel, dy):
+    b, c, h, w = x.shape
+    out_c, _, k, _ = kernel.shape
+    p = k // 2
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    xp[:, :, p:p + h, p:p + w] = x
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernel)
+    for n in range(b):
+        for i in range(h):
+            for j in range(w):
+                for o in range(out_c):
+                    g = dy[n, o, i, j]
+                    dk[o] += g * xp[n, :, i:i + k, j:j + k]
+                    dxp[n, :, i:i + k, j:j + k] += g * kernel[o]
+    return dxp[:, :, p:p + h, p:p + w], dk, dy.sum(axis=(0, 2, 3))
+
+
+def _ref_leaky_slope(pre):
+    return np.where(pre > 0, 1.0, 0.2)
+
+
+def _ref_pool(x):
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h // 2, w // 2))
+    for i in range(h // 2):
+        for j in range(w // 2):
+            y[:, :, i, j] = x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].mean(axis=(2, 3))
+    return y
+
+
+def _ref_pool_backward(dy):
+    b, c, h, w = dy.shape
+    dx = np.empty((b, c, 2 * h, 2 * w))
+    for i in range(2 * h):
+        for j in range(2 * w):
+            dx[:, :, i, j] = dy[:, :, i // 2, j // 2] / 4.0
+    return dx
+
+
+def _ref_upsample(x):
+    b, c, h, w = x.shape
+    y = np.empty((b, c, 2 * h, 2 * w))
+    for i in range(2 * h):
+        for j in range(2 * w):
+            y[:, :, i, j] = x[:, :, i // 2, j // 2]
+    return y
+
+
+def _ref_upsample_backward(dy):
+    b, c, h, w = dy.shape
+    dx = np.zeros((b, c, h // 2, w // 2))
+    for i in range(h):
+        for j in range(w):
+            dx[:, :, i // 2, j // 2] += dy[:, :, i, j]
+    return dx
+
+
+def _ref_network(kernels, biases, channels, x, dy):
+    """Output and per-layer (dkernel, dbias) of the encoder-decoder."""
+    levels = len(channels)
+    inputs, pres, skips = [], [], []
+    layer = 0
+    h = x
+    for lvl in range(levels):
+        if lvl:
+            h = _ref_pool(h)
+        pre = _ref_conv(h, kernels[layer], biases[layer])
+        inputs.append(h)
+        pres.append(pre)
+        h = pre * _ref_leaky_slope(pre)
+        skips.append(h)
+        layer += 1
+    for lvl in range(levels - 2, -1, -1):
+        h = np.concatenate([_ref_upsample(h), skips[lvl]], axis=1)
+        pre = _ref_conv(h, kernels[layer], biases[layer])
+        inputs.append(h)
+        pres.append(pre)
+        h = pre * _ref_leaky_slope(pre)
+        layer += 1
+    y = _ref_conv(h, kernels[layer], biases[layer])
+    inputs.append(h)
+
+    grads = [None] * len(kernels)
+    g, dk, db = _ref_conv_backward(inputs[layer], kernels[layer], dy)
+    grads[layer] = (dk, db)
+    dskips = {}
+    for lvl in range(levels - 1):
+        layer -= 1
+        g = g * _ref_leaky_slope(pres[layer])
+        g, dk, db = _ref_conv_backward(inputs[layer], kernels[layer], g)
+        grads[layer] = (dk, db)
+        dskips[lvl] = g[:, channels[lvl + 1]:]
+        g = _ref_upsample_backward(g[:, :channels[lvl + 1]])
+    for lvl in range(levels - 1, -1, -1):
+        layer -= 1
+        if lvl < levels - 1:
+            g = g + dskips[lvl]
+        g = g * _ref_leaky_slope(pres[layer])
+        g, dk, db = _ref_conv_backward(inputs[layer], kernels[layer], g)
+        grads[layer] = (dk, db)
+        if lvl:
+            g = _ref_pool_backward(g)
+    return y, grads
+
+
+class TestWholeNetworkReference:
+    def test_forward_and_weight_gradients_match_loop_reference(self):
+        rng = np.random.default_rng(11)
+        w = init_weights(2, channels=(4, 8, 16))
+        for k, b in zip(w.kernels, w.biases):
+            k += rng.normal(0.0, 0.1, k.shape)
+            b += rng.normal(0.0, 0.1, b.shape)
+        x = rng.normal(size=(2, IN_CHANNELS, 8, 8))
+        dy = rng.normal(size=(2, 2, 8, 8))
+        y_ref, grads_ref = _ref_network(w.kernels, w.biases, w.channels, x, dy)
+
+        y, cache = forward_batch(w, x)
+        dks, dbs = backward_batch(w, cache, dy)
+
+        def assert_rel_close(got, ref):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        assert_rel_close(y, y_ref)
+        for dk, db, (dk_ref, db_ref) in zip(dks, dbs, grads_ref):
+            assert_rel_close(dk, dk_ref)
+            assert_rel_close(db, db_ref)
 
 
 class TestZeroHeadBiasGradient:
@@ -272,3 +455,40 @@ class TestCheckpointIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_checkpoint(tmp_path / "absent.nawt")
+
+
+def _write_raw_checkpoint(path, channels, in_channels):
+    """A well-formed NAWT file for any descriptor, zero-filled parameters."""
+    count = sum(int(np.prod(shape)) + shape[0]
+                for shape in layer_shapes(in_channels, channels))
+    path.write_bytes(CHECKPOINT_MAGIC
+                     + struct.pack("<II", CHECKPOINT_VERSION, len(channels))
+                     + struct.pack(f"<{len(channels)}I", *channels)
+                     + struct.pack("<I", in_channels)
+                     + np.zeros(count, dtype="<f8").tobytes())
+
+
+class TestMalformedCheckpoints:
+    CASES = [((), IN_CHANNELS, InvalidSpec),
+             (DEFAULT_CHANNELS, 3, ShapeMismatch)]
+
+    @pytest.mark.parametrize("channels,in_channels,error", CASES)
+    def test_load_rejects(self, tmp_path, channels, in_channels, error):
+        path = tmp_path / "bad.nawt"
+        _write_raw_checkpoint(path, channels, in_channels)
+        with pytest.raises(error):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("channels,in_channels", [case[:2] for case in CASES])
+    def test_cli_predict_exits_runtime_error(self, tmp_path, channels, in_channels):
+        labels, _ = make_phantom(PhantomSpec(size=32, seed=0))
+        a = make_atrophy(AtrophySpec(seed=1), labels)
+        write_field(tmp_path / "a.atrf", a)
+        write_field(tmp_path / "labels.atrf", labels)
+        _write_raw_checkpoint(tmp_path / "bad.nawt", channels, in_channels)
+        out_u = tmp_path / "u.atrf"
+        rc = cli(["predict", "--checkpoint", str(tmp_path / "bad.nawt"),
+                  "--atrophy", str(tmp_path / "a.atrf"),
+                  "--labels", str(tmp_path / "labels.atrf"), "--out-u", str(out_u)])
+        assert rc == EXIT_RUNTIME
+        assert not out_u.exists()
