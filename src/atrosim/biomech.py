@@ -10,13 +10,11 @@ penalties keeping the background still and pinning the brain's center of mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields
 from .errors import (
-    EmptyMask,
     InvalidSpec,
     InvertedElement,
     NonPositiveAtrophy,
@@ -24,15 +22,12 @@ from .errors import (
     SingularGrowth,
 )
 from .fields import (
-    BACKGROUND,
     BRAIN_LABELS,
     CSF,
     DisplacementField,
     LabelField,
     ScalarField,
     TensorField,
-    center_of_mass,
-    deformation_gradient,
 )
 
 J_FLOOR = 1e-6  # below this, a material pixel counts as inverted
@@ -153,19 +148,10 @@ def strain_energy_density(F_K: TensorField, mu: np.ndarray,
 
 def total_loss(u: DisplacementField, a: ScalarField, labels: LabelField,
                params: EnergyParams) -> LossBreakdown:
-    """Objective value: summed energy + weighted background and center penalties."""
-    if not (u.shape == a.shape == labels.shape):
-        raise ShapeMismatch("displacement, atrophy, and labels dimensions differ")
-    mu = material_map(labels, params)
-    g = growth_scale(a, params)
-    F = deformation_gradient(u)
-    fk = F.m / g[..., None, None]
-    energy = float(np.sum(_energy_density_values(fk, mu, params)))
+    """Objective value: summed energy + weighted background and center penalties.
 
-    bg = labels.labels == BACKGROUND
-    bg_pen = float(np.sum(u.ux[bg] ** 2) + np.sum(u.uy[bg] ** 2))
-    cx, cy = center_of_mass(labels, BRAIN_LABELS)
-    c_pen = float(u.ux[cy, cx] ** 2 + u.uy[cy, cx] ** 2)
-    total = energy + params.lambda1 * bg_pen + params.lambda2 * c_pen
-    return LossBreakdown(total=total, energy=energy,
-                         background_penalty=bg_pen, center_penalty=c_pen)
+    This is the breakdown `gradients.loss_and_gradient` returns, so the two
+    agree to the bit.
+    """
+    from .gradients import LossContext, loss_and_gradient  # gradients imports biomech
+    return loss_and_gradient(u, LossContext.build(a, labels, params))[0]

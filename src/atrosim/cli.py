@@ -136,6 +136,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--image-b")
     sp.add_argument("--labels-a")
     sp.add_argument("--labels-b")
+    sp.add_argument("--convention", choices=["jacobian", "paper"], default="jacobian",
+                    help="growth convention the displacement was solved under")
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("gradcheck", help="finite-difference oracle checks")
@@ -184,8 +186,8 @@ def _cmd_solve(args) -> int:
     params = _energy_params(cfg)
     opts = SolveOptions(max_iters=cfg.max_iters,
                         learning_rate=cfg.learning_rate or 1e-2,
-                        brain_only=cfg.brain_only, convention=cfg.convention)
-    u, report = solve_displacement(a, labels, params, opts, seed=cfg.seed)
+                        brain_only=cfg.brain_only)
+    u, report = solve_displacement(a, labels, params, opts)
     fieldio.write_field(args.out_u, u)
     if args.out_jacobian:
         fieldio.write_field(args.out_jacobian, jacobian_det(deformation_gradient(u)))
@@ -197,7 +199,7 @@ def _cmd_solve(args) -> int:
         fieldio.write_field(args.out_warped, warp_image(img, u))
     if args.out_warped_labels:
         fieldio.write_field(args.out_warped_labels, warp_labels(labels, u))
-    mse_all = mse_atrophy(a, u, labels, masked=False)
+    mse_all = mse_atrophy(a, u, labels, masked=False, convention=params.convention)
     if args.report:
         _write_csv(args.report,
                    ["iterations", "terminated_by", "total", "energy",
@@ -275,8 +277,8 @@ def _cmd_eval(args) -> int:
         a = _require_kind(fieldio.read_field(args.atrophy), ScalarField, "--atrophy")
         u = _require_kind(fieldio.read_field(args.u), DisplacementField, "--u")
         labels = _require_kind(fieldio.read_field(args.labels), LabelField, "--labels")
-        row[0] = mse_atrophy(a, u, labels, masked=True)
-        row[1] = mse_atrophy(a, u, labels, masked=False)
+        row[0] = mse_atrophy(a, u, labels, masked=True, convention=args.convention)
+        row[1] = mse_atrophy(a, u, labels, masked=False, convention=args.convention)
     if args.image_a or args.image_b:
         if not (args.image_a and args.image_b):
             raise AtrosimError("image MSE needs --image-a and --image-b")

@@ -5,11 +5,16 @@ scale to get dW/dF, then pushed through the transposed finite-difference
 stencils (discrete integration by parts); the background and center penalties
 contribute 2*lambda*u directly. Correctness is established against central
 finite differences by `finite_diff_check`.
+
+`loss_and_gradient` is the one evaluation of the objective: `total_loss` is
+its loss part. It computes with in-place ufuncs in scratch planes held by the
+`LossContext`, grouping every product as the formulas in its comments group
+it; its results do not depend on what the scratch held before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +24,6 @@ from .biomech import (
     LossBreakdown,
     growth_scale,
     material_map,
-    total_loss,
 )
 from .errors import InvertedElement, ShapeMismatch, SingularElastic
 from .fields import (
@@ -44,9 +48,19 @@ class GradCheckReport:
     passed: bool
 
 
+_N_SCRATCH = 12  # float planes used by loss_and_gradient, besides one bool plane
+
+
 @dataclass
 class LossContext:
-    """Static (u-independent) data for repeated loss/gradient evaluation."""
+    """Static (u-independent) data for repeated loss/gradient evaluation.
+
+    Besides the maps the objective is defined by (mu, g, the background mask
+    and the pinned centre) it holds the per-pixel constants the kernel
+    multiplies by, each grouped as the energy formula groups it, and the
+    scratch planes `loss_and_gradient` computes in. Because of the scratch, one
+    context serves one evaluation at a time.
+    """
 
     a: ScalarField
     labels: LabelField
@@ -55,70 +69,122 @@ class LossContext:
     g: np.ndarray
     background: np.ndarray
     center: tuple[int, int]
+    material: np.ndarray = field(repr=False)         # mu > 0
+    off_material: np.ndarray = field(repr=False)
+    half_mu: np.ndarray = field(repr=False)          # 0.5 * mu
+    kappa: np.ndarray = field(repr=False)            # bulk_ratio * mu
+    half_kappa: np.ndarray = field(repr=False)       # 0.5 * kappa
+    neg_half_alpha_mu: np.ndarray = field(repr=False)  # (-alpha * 0.5) * mu
+    bg_weight: np.ndarray = field(repr=False)        # 2 lambda1 on background, else 0
+    scratch: tuple = field(repr=False)
 
     @staticmethod
     def build(a: ScalarField, labels: LabelField,
               params: EnergyParams) -> "LossContext":
         if a.shape != labels.shape:
             raise ShapeMismatch("atrophy and labels dimensions differ")
+        mu = material_map(labels, params)
+        kappa = params.bulk_ratio * mu
+        background = labels.labels == BACKGROUND
         return LossContext(
             a=a, labels=labels, params=params,
-            mu=material_map(labels, params),
+            mu=mu,
             g=growth_scale(a, params),
-            background=labels.labels == BACKGROUND,
+            background=background,
             center=center_of_mass(labels, BRAIN_LABELS),
+            material=mu > 0.0,
+            off_material=mu <= 0.0,
+            half_mu=0.5 * mu,
+            kappa=kappa,
+            half_kappa=0.5 * kappa,
+            neg_half_alpha_mu=-params.alpha * 0.5 * mu,
+            bg_weight=np.where(background, 2.0 * params.lambda1, 0.0),
+            scratch=tuple(np.empty(a.shape) for _ in range(_N_SCRATCH))
+                    + (np.empty(a.shape, dtype=bool),),
         )
 
 
 def loss_and_gradient(u: DisplacementField, ctx: LossContext
                       ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """Loss breakdown plus dL/dux, dL/duy in one pass."""
+    """Loss breakdown plus dL/dux, dL/duy in one pass.
+
+    Every intermediate lives in the context's scratch planes, computed with
+    the operations and grouping of the formulas in the comments, so the
+    result is the same to the bit whatever the scratch held. The returned
+    gradient planes are fresh arrays. Raises ShapeMismatch when u is not on
+    the context's grid, InvertedElement when det(F_K) <= 1e-6 on a material
+    pixel and SingularElastic when the stress is not finite there.
+    """
+    if u.shape != ctx.mu.shape:
+        raise ShapeMismatch(f"displacement is {u.shape}, the context is {ctx.mu.shape}")
     params = ctx.params
-    mu, g = ctx.mu, ctx.g
-    material = mu > 0.0
+    g = ctx.g
+    k00, k01, k10, k11, jac, trace, j_pow, w, jm1, lead, coef, tmp, flags = ctx.scratch
 
     # F = I + grad(u); F_K = F / g
-    f00 = d_dx(u.ux) + 1.0
-    f01 = d_dy(u.ux)
-    f10 = d_dx(u.uy)
-    f11 = d_dy(u.uy) + 1.0
-    k00, k01, k10, k11 = f00 / g, f01 / g, f10 / g, f11 / g
+    d_dx(u.ux, out=k00)
+    k00 += 1.0
+    k00 /= g
+    d_dy(u.ux, out=k01)
+    k01 /= g
+    d_dx(u.uy, out=k10)
+    k10 /= g
+    d_dy(u.uy, out=k11)
+    k11 += 1.0
+    k11 /= g
 
-    jac = k00 * k11 - k01 * k10
-    if np.any(material & (jac <= J_FLOOR)):
+    # J = det(F_K); off material J is replaced by 1, where mu = kappa = 0 make
+    # every energy and stress term exactly zero.
+    np.multiply(k00, k11, out=jac)
+    jac -= np.multiply(k01, k10, out=tmp)
+    np.less_equal(jac, J_FLOOR, out=flags)
+    flags &= ctx.material
+    if flags.any():
         raise InvertedElement("det(F_K) <= 1e-6 on a material pixel")
-    jac_safe = np.where(material, jac, 1.0)
-    trace = k00 ** 2 + k01 ** 2 + k10 ** 2 + k11 ** 2
-    kappa = params.bulk_ratio * mu
-    j_pow = jac_safe ** (-params.alpha)
+    np.copyto(jac, 1.0, where=ctx.off_material)
+    np.square(k00, out=trace)
+    trace += np.square(k01, out=tmp)
+    trace += np.square(k10, out=tmp)
+    trace += np.square(k11, out=tmp)
+    np.power(jac, -params.alpha, out=j_pow)
+    np.subtract(jac, 1.0, out=jm1)
 
-    w = 0.5 * mu * (trace * j_pow - params.beta) + 0.5 * kappa * (jac_safe - 1.0) ** 2
-    energy = float(np.sum(np.where(material, w, 0.0)))
+    # W = 0.5 mu (tr J^-a - beta) + 0.5 kappa (J - 1)^2
+    np.multiply(trace, j_pow, out=w)
+    w -= params.beta
+    w *= ctx.half_mu
+    np.square(jm1, out=tmp)
+    tmp *= ctx.half_kappa
+    w += tmp
+    energy = float(np.sum(w))
 
     # dW/dF_K = mu J^-a F_K + [-a (mu/2) tr J^-a + K (J-1) J] F_K^-T,
     # with J F_K^-T = cofactor(F_K).
-    lead = np.where(material, mu * j_pow, 0.0)
-    coef = np.where(
-        material,
-        (-params.alpha * 0.5 * mu * trace * j_pow + kappa * (jac_safe - 1.0) * jac_safe)
-        / jac_safe,
-        0.0,
-    )
-    if not np.all(np.isfinite(coef)):
+    np.multiply(ctx.mu, j_pow, out=lead)
+    np.multiply(ctx.neg_half_alpha_mu, trace, out=coef)
+    coef *= j_pow
+    np.multiply(ctx.kappa, jm1, out=tmp)
+    tmp *= jac
+    coef += tmp
+    coef /= jac
+    if not np.isfinite(coef, out=flags).all():
         raise SingularElastic("F_K numerically singular on a material pixel")
-    # dL/dF = dW/dF_K / g
-    p00 = (lead * k00 + coef * k11) / g
-    p01 = (lead * k01 - coef * k10) / g
-    p10 = (lead * k10 - coef * k01) / g
-    p11 = (lead * k11 + coef * k00) / g
 
-    gux = d_dx_adjoint(p00) + d_dy_adjoint(p01)
-    guy = d_dx_adjoint(p10) + d_dy_adjoint(p11)
+    # dL/dF = dW/dF_K / g, pushed through the transposed stencils
+    p00, p01, p10, p11 = w, trace, j_pow, jm1
+    _stress(lead, k00, coef, k11, np.add, g, tmp, out=p00)
+    _stress(lead, k01, coef, k10, np.subtract, g, tmp, out=p01)
+    _stress(lead, k10, coef, k01, np.subtract, g, tmp, out=p10)
+    _stress(lead, k11, coef, k00, np.add, g, tmp, out=p11)
+    gux = d_dx_adjoint(p00, out=np.empty_like(p00))
+    gux += d_dy_adjoint(p01, out=tmp)
+    guy = d_dx_adjoint(p10, out=np.empty_like(p10))
+    guy += d_dy_adjoint(p11, out=tmp)
 
     bg = ctx.background
     bg_pen = float(np.sum(u.ux[bg] ** 2) + np.sum(u.uy[bg] ** 2))
-    gux[bg] += 2.0 * params.lambda1 * u.ux[bg]
-    guy[bg] += 2.0 * params.lambda1 * u.uy[bg]
+    gux += np.multiply(ctx.bg_weight, u.ux, out=tmp)
+    guy += np.multiply(ctx.bg_weight, u.uy, out=tmp)
 
     cx, cy = ctx.center
     c_pen = float(u.ux[cy, cx] ** 2 + u.uy[cy, cx] ** 2)
@@ -129,6 +195,14 @@ def loss_and_gradient(u: DisplacementField, ctx: LossContext
     breakdown = LossBreakdown(total=total, energy=energy,
                               background_penalty=bg_pen, center_penalty=c_pen)
     return breakdown, gux, guy
+
+
+def _stress(lead, k_a, coef, k_b, combine, g, tmp, out):
+    """out = combine(lead * k_a, coef * k_b) / g."""
+    np.multiply(lead, k_a, out=out)
+    combine(out, np.multiply(coef, k_b, out=tmp), out=out)
+    out /= g
+    return out
 
 
 def loss_gradient(u: DisplacementField, a: ScalarField, labels: LabelField,
@@ -165,9 +239,9 @@ def finite_diff_check(u: DisplacementField, a: ScalarField, labels: LabelField,
         orig = planes[comp][y, x]
 
         planes[comp][y, x] = orig + step
-        lo_hi = total_loss(u, a, labels, params).total
+        lo_hi = loss_and_gradient(u, ctx)[0].total
         planes[comp][y, x] = orig - step
-        lo_lo = total_loss(u, a, labels, params).total
+        lo_lo = loss_and_gradient(u, ctx)[0].total
         planes[comp][y, x] = orig
 
         numeric = (lo_hi - lo_lo) / (2.0 * step)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import EmptyMask, ShapeMismatch
+from .biomech import CONVENTION_JACOBIAN, CONVENTION_PAPER
+from .errors import EmptyMask, InvalidSpec, ShapeMismatch
 from .fields import (
     DisplacementField,
     LabelField,
@@ -15,15 +14,24 @@ from .fields import (
 
 
 def mse_atrophy(a: ScalarField, u: DisplacementField, mask: LabelField,
-                masked: bool = True) -> float:
-    """Mean squared error between the prescribed map and det(F).
+                masked: bool = True,
+                convention: str = CONVENTION_JACOBIAN) -> float:
+    """Mean squared error between the prescribed Jacobian and det(F).
 
+    The prescribed Jacobian is det(G) of the convention `a` was solved under:
+    `a` itself for the jacobian convention, 1/a for the paper convention.
     masked=True averages over brain (GM/WM/DGM) pixels only.
     """
     if not (a.shape == u.shape == mask.shape):
         raise ShapeMismatch("field dimensions differ")
+    if convention == CONVENTION_JACOBIAN:
+        target = a.values
+    elif convention == CONVENTION_PAPER:
+        target = 1.0 / a.values
+    else:
+        raise InvalidSpec(f"unknown convention {convention!r}")
     det = jacobian_det(deformation_gradient(u)).values
-    sq = (a.values - det) ** 2
+    sq = (target - det) ** 2
     if masked:
         brain = mask.brain_mask()
         if not brain.any():

@@ -2,6 +2,8 @@
 
 This is the per-image reference path; the trained network amortizes exactly
 this objective, so the solver doubles as the oracle it is judged against.
+Everything that defines the objective, the growth convention included, comes
+from `EnergyParams`; `SolveOptions` only steers the optimizer.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biomech import CONVENTION_JACOBIAN, EnergyParams, LossBreakdown
+from .biomech import EnergyParams, LossBreakdown
 from .errors import EmptyMask, InvertedElement, NonPositiveAtrophy
 from .fields import (
     BACKGROUND,
@@ -38,7 +40,6 @@ class SolveOptions:
     adam_epsilon: float = 1e-8
     stop_grad_norm: float = 1e-6
     brain_only: bool = False
-    convention: str = CONVENTION_JACOBIAN
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -57,23 +58,25 @@ class SolveReport:
 
 
 def solve_displacement(a: ScalarField, labels: LabelField, params: EnergyParams,
-                       opts: SolveOptions, seed: int = 0
-                       ) -> tuple[DisplacementField, SolveReport]:
+                       opts: SolveOptions) -> tuple[DisplacementField, SolveReport]:
     """Optimize u from rest with Adam; returns the best-loss iterate.
 
-    With brain_only the atrophy map is overwritten with 1.0 on CSF and
-    background before solving, but the realization error is still reported
-    against the original prescription.
+    The convention (how `a` maps to the growth) is the one in `params`. With
+    brain_only the atrophy map is overwritten with 1.0 on CSF and background
+    before solving, but the realization error is still reported against the
+    original prescription.
+
+    The Adam update
+        m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
+        u -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    runs in place on planes allocated once per solve, with the operations
+    grouped as written here. Wrapping each trial iterate in a
+    `DisplacementField` rejects a non-finite step.
     """
     if np.any(a.values <= 0.0):
         raise NonPositiveAtrophy("atrophy map must be strictly positive")
     if not labels.brain_mask().any():
         raise EmptyMask("labels contain no brain pixels")
-    params = EnergyParams(alpha=params.alpha, beta=params.beta,
-                          bulk_ratio=params.bulk_ratio,
-                          mu_tissue=params.mu_tissue, mu_csf=params.mu_csf,
-                          lambda1=params.lambda1, lambda2=params.lambda2,
-                          d=params.d, convention=opts.convention)
 
     a_solve = a
     if opts.brain_only:
@@ -82,45 +85,47 @@ def solve_displacement(a: ScalarField, labels: LabelField, params: EnergyParams,
         a_solve = ScalarField(vals)
 
     ctx = LossContext.build(a_solve, labels, params)
-    h, w = a.shape
-    ux = np.zeros((h, w))
-    uy = np.zeros((h, w))
-    m_ux = np.zeros_like(ux)
-    m_uy = np.zeros_like(uy)
-    v_ux = np.zeros_like(ux)
-    v_uy = np.zeros_like(uy)
+    shape = a.shape
+    u = [np.zeros(shape), np.zeros(shape)]
+    trial = [np.empty(shape), np.empty(shape)]
+    best = [np.zeros(shape), np.zeros(shape)]
+    m = [np.zeros(shape), np.zeros(shape)]
+    v = [np.zeros(shape), np.zeros(shape)]
+    tmp = np.empty(shape)
+    step = np.empty(shape)
 
     lr = opts.learning_rate
     b1, b2, eps = opts.adam_beta1, opts.adam_beta2, opts.adam_epsilon
+    c1, c2 = 1 - b1, 1 - b2
 
-    loss, gux, guy = loss_and_gradient(DisplacementField(ux, uy), ctx)
+    loss, *grad = loss_and_gradient(DisplacementField(*u), ctx)
     history = [loss.total]
     best_loss = loss
-    best_ux, best_uy = ux.copy(), uy.copy()
     terminated = TERM_MAX_ITERS
     iterations = 0
     backoffs = 0
 
     for it in range(1, opts.max_iters + 1):
-        gnorm = max(np.abs(gux).max(), np.abs(guy).max())
+        gnorm = max(np.abs(gc, out=tmp).max() for gc in grad)
         if gnorm <= opts.stop_grad_norm:
             terminated = TERM_GRAD_NORM
             break
 
-        m_ux = b1 * m_ux + (1 - b1) * gux
-        m_uy = b1 * m_uy + (1 - b1) * guy
-        v_ux = b2 * v_ux + (1 - b2) * gux ** 2
-        v_uy = b2 * v_uy + (1 - b2) * guy ** 2
-        mh_ux = m_ux / (1 - b1 ** it)
-        mh_uy = m_uy / (1 - b1 ** it)
-        vh_ux = v_ux / (1 - b2 ** it)
-        vh_uy = v_uy / (1 - b2 ** it)
-        step_x = lr * mh_ux / (np.sqrt(vh_ux) + eps)
-        step_y = lr * mh_uy / (np.sqrt(vh_uy) + eps)
+        bc1, bc2 = 1 - b1 ** it, 1 - b2 ** it
+        for gc, mc, vc, uc, tc in zip(grad, m, v, u, trial):
+            mc *= b1
+            mc += np.multiply(gc, c1, out=tmp)
+            vc *= b2
+            vc += np.multiply(np.square(gc, out=tmp), c2, out=tmp)
+            np.divide(mc, bc1, out=step)
+            step *= lr
+            np.sqrt(np.divide(vc, bc2, out=tmp), out=tmp)
+            tmp += eps
+            step /= tmp
+            np.subtract(uc, step, out=tc)
 
         try:
-            trial = DisplacementField(ux - step_x, uy - step_y)
-            loss, gux, guy = loss_and_gradient(trial, ctx)
+            loss, *new_grad = loss_and_gradient(DisplacementField(*trial), ctx)
         except InvertedElement:
             backoffs += 1
             if backoffs > MAX_BACKOFFS:
@@ -128,25 +133,29 @@ def solve_displacement(a: ScalarField, labels: LabelField, params: EnergyParams,
                 break
             lr *= 0.5
             # rejected step: rewind the moment updates too
-            m_ux = (m_ux - (1 - b1) * gux) / b1
-            m_uy = (m_uy - (1 - b1) * guy) / b1
-            v_ux = (v_ux - (1 - b2) * gux ** 2) / b2
-            v_uy = (v_uy - (1 - b2) * guy ** 2) / b2
+            for gc, mc, vc in zip(grad, m, v):
+                mc -= np.multiply(gc, c1, out=tmp)
+                mc /= b1
+                vc -= np.multiply(np.square(gc, out=tmp), c2, out=tmp)
+                vc /= b2
             continue
 
-        ux, uy = trial.ux, trial.uy
+        grad = new_grad
+        u, trial = trial, u
         iterations = it
         history.append(loss.total)
         if loss.total < best_loss.total:
             best_loss = loss
-            best_ux, best_uy = ux.copy(), uy.copy()
+            for dst, src in zip(best, u):
+                np.copyto(dst, src)
 
-    u_best = DisplacementField(best_ux, best_uy)
+    u_best = DisplacementField(*best)
     report = SolveReport(
         iterations_run=iterations,
         final_loss=best_loss,
         loss_history=history,
-        mse_atrophy=mse_atrophy(a, u_best, labels, masked=True),
+        mse_atrophy=mse_atrophy(a, u_best, labels, masked=True,
+                                convention=params.convention),
         terminated_by=terminated,
     )
     return u_best, report

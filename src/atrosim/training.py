@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biomech import EnergyParams, total_loss
+from .biomech import EnergyParams
 from .errors import InvertedElement, ShapeMismatch
 from .fields import DisplacementField, LabelField, ScalarField
 from .gradients import GradCheckReport, LossContext, loss_and_gradient
@@ -124,7 +124,7 @@ def net_finite_diff_check(weights: NetWeights, a: ScalarField, labels: LabelFiel
     def loss_of(w: NetWeights) -> float:
         y, _ = forward_batch(w, x)
         u = DisplacementField(y[0, 0], y[0, 1])
-        return total_loss(u, a, labels, params).total
+        return loss_and_gradient(u, ctx)[0].total
 
     y, cache = forward_batch(weights, x)
     u = DisplacementField(y[0, 0], y[0, 1])

@@ -218,6 +218,24 @@ class TestEvalCommand:
         assert vals[2] == 0.0            # identical images
         assert vals[3:] == [1.0] * 4     # identical labels
 
+    def test_convention_selects_target(self, phantom_files, tmp_path):
+        out_u = str(tmp_path / "u.atrf")
+        report = tmp_path / "report.csv"
+        assert cli(["solve", "--atrophy", phantom_files["atrophy"],
+                    "--labels", phantom_files["labels"], "--convention", "paper",
+                    "--out-u", out_u, "--report", str(report),
+                    "--max-iters", "300"]) == EXIT_OK
+        rows = {}
+        for conv in ("jacobian", "paper"):
+            out = tmp_path / f"metrics-{conv}.csv"
+            assert cli(["eval", "--atrophy", phantom_files["atrophy"],
+                        "--u", out_u, "--labels", phantom_files["labels"],
+                        "--convention", conv, "--out", str(out)]) == EXIT_OK
+            rows[conv] = [float(v) for v in out.read_text().splitlines()[1].split(",")[:2]]
+        solved = [float(v) for v in report.read_text().splitlines()[1].split(",")[-2:]]
+        assert rows["paper"] == solved  # solve reports the paper target too
+        assert rows["paper"][0] < rows["jacobian"][0] / 100.0
+
     def test_absent_groups_are_nan(self, phantom_files, tmp_path):
         out = tmp_path / "metrics.csv"
         rc = cli(["eval", "--image-a", phantom_files["intensity"],

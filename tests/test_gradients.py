@@ -111,6 +111,24 @@ class TestLossAndGradient:
             LossContext.build(ScalarField(np.ones((8, 7))), ring_labels(),
                               EnergyParams())
 
+    def test_displacement_shape_mismatch(self):
+        _, a, labels = random_problem(0)
+        ctx = LossContext.build(a, labels, EnergyParams())
+        with pytest.raises(ShapeMismatch):
+            loss_and_gradient(DisplacementField.zeros(8, 9), ctx)
+        with pytest.raises(ShapeMismatch):
+            total_loss(DisplacementField.zeros(9, 8), a, labels, EnergyParams())
+
+    def test_total_loss_is_the_kernel_value(self):
+        params = EnergyParams(convention=CONVENTION_PAPER)
+        u, a, labels = random_problem(8, amp=0.1)
+        lb, _, _ = loss_and_gradient(u, LossContext.build(a, labels, params))
+        assert total_loss(u, a, labels, params) == lb
+        ux = np.zeros((8, 8))
+        ux[:, 4] = -2.0  # the fold of test_inverted_element_raises
+        with pytest.raises(InvertedElement):
+            total_loss(DisplacementField(ux, np.zeros((8, 8))), a, labels, params)
+
 
 class TestFiniteDiffCheck:
     def test_passes_on_random_state(self):

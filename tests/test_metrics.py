@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrosim.errors import EmptyMask, ShapeMismatch
+from atrosim.biomech import CONVENTION_PAPER
+from atrosim.errors import EmptyMask, InvalidSpec, ShapeMismatch
 from atrosim.fields import GM, WM, DisplacementField, LabelField, ScalarField
 from atrosim.metrics import dice, mse_atrophy, mse_image
 
@@ -30,6 +31,24 @@ class TestMseAtrophy:
         u = DisplacementField((scale - 1.0) * (xs - c), (scale - 1.0) * (ys - c))
         a = ScalarField(np.full((n, n), a_val))
         assert mse_atrophy(a, u, lab) < 1e-28
+
+    def test_paper_convention_target_is_inverse(self):
+        n = 8
+        lab = LabelField(np.full((n, n), GM, dtype=np.uint8))
+        a_val = 1.0 / 0.9  # paper convention: det(G) = 1/a = 0.9
+        scale = np.sqrt(0.9)
+        c = (n - 1) / 2.0
+        ys, xs = np.mgrid[0:n, 0:n].astype(float)
+        u = DisplacementField((scale - 1.0) * (xs - c), (scale - 1.0) * (ys - c))
+        a = ScalarField(np.full((n, n), a_val))
+        assert mse_atrophy(a, u, lab, convention=CONVENTION_PAPER) < 1e-28
+        assert mse_atrophy(a, u, lab) > 1e-2
+
+    def test_unknown_convention(self):
+        a = ScalarField(np.ones((6, 6)))
+        with pytest.raises(InvalidSpec):
+            mse_atrophy(a, DisplacementField.zeros(6, 6), brain_labels(),
+                        convention="inverse")
 
     def test_masked_vs_unmasked(self):
         lab = brain_labels()

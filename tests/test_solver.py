@@ -106,10 +106,32 @@ class TestSolveDisplacement:
         a, labels = small_problem()
         u_j, _ = solve_displacement(a, labels, EnergyParams(),
                                     SolveOptions(max_iters=30))
-        u_p, _ = solve_displacement(a, labels, EnergyParams(),
-                                    SolveOptions(max_iters=30,
-                                                 convention=CONVENTION_PAPER))
+        u_p, _ = solve_displacement(a, labels,
+                                    EnergyParams(convention=CONVENTION_PAPER),
+                                    SolveOptions(max_iters=30))
         assert not np.array_equal(u_j.ux, u_p.ux)
+
+    def test_params_convention_used_with_default_options(self):
+        # the convention has one source, EnergyParams; default options used to
+        # replace it with the jacobian convention
+        a, labels = small_problem()
+        paper = EnergyParams(convention=CONVENTION_PAPER)
+        u_j, _ = solve_displacement(a, labels, EnergyParams(), SolveOptions())
+        u_p, rep = solve_displacement(a, labels, paper, SolveOptions())
+        assert not np.array_equal(u_j.ux, u_p.ux)
+        assert rep.final_loss == total_loss(u_p, a, labels, paper)
+
+    def test_paper_convention_mse_against_its_own_target(self):
+        # under the paper convention det(G) = 1/a; the report measures the
+        # solve against that, not against a
+        a, labels = small_problem()
+        u, rep = solve_displacement(a, labels,
+                                    EnergyParams(convention=CONVENTION_PAPER),
+                                    SolveOptions())
+        assert rep.mse_atrophy == mse_atrophy(a, u, labels,
+                                              convention=CONVENTION_PAPER)
+        assert rep.mse_atrophy < 1e-6
+        assert mse_atrophy(a, u, labels) > 1e-3
 
     def test_uniform_atrophy_all_tissue_no_penalties(self):
         # with penalties off and a constant prescription on an all-tissue
