@@ -33,8 +33,8 @@ from .fields import (
 J_FLOOR = 1e-6  # below this, a material pixel counts as inverted
 G_FLOOR = 1e-12
 
-CONVENTION_PAPER = "paper"        # G = a^(-1/d) I (inverse reading of a)
-CONVENTION_JACOBIAN = "jacobian"  # G = a^(+1/d) I, so det(G) = a
+CONVENTION_PAPER = "paper"        # G = a^(-1/2) I (inverse reading of a)
+CONVENTION_JACOBIAN = "jacobian"  # G = a^(+1/2) I, so det(G) = a
 
 
 @dataclass
@@ -52,19 +52,12 @@ class EnergyParams:
     mu_csf: float = 0.01
     lambda1: float = 0.1
     lambda2: float = 100.0
-    d: int = 2
     convention: str = CONVENTION_JACOBIAN
 
     def __post_init__(self):
-        if self.d == 2:
-            expected = (1.0, 2.0)
-        elif self.d == 3:
-            expected = (2.0 / 3.0, 3.0)
-        else:
-            raise InvalidSpec(f"dimension must be 2 or 3, got {self.d}")
-        if not (np.isclose(self.alpha, expected[0]) and np.isclose(self.beta, expected[1])):
+        if not (np.isclose(self.alpha, 1.0) and np.isclose(self.beta, 2.0)):
             raise InvalidSpec(
-                f"exponents (alpha, beta) must be {expected} for d={self.d}, "
+                f"exponents (alpha, beta) must be (1, 2) on a 2D grid, "
                 f"got ({self.alpha}, {self.beta})")
         if self.bulk_ratio <= 0 or self.mu_tissue <= 0 or self.mu_csf <= 0:
             raise InvalidSpec("bulk_ratio and shear moduli must be positive")
@@ -97,9 +90,7 @@ def growth_scale(a: ScalarField, params: EnergyParams) -> np.ndarray:
     v = a.values
     if np.any(v <= 0.0):
         raise NonPositiveAtrophy("atrophy map must be strictly positive")
-    exponent = 1.0 / params.d
-    if params.convention == CONVENTION_PAPER:
-        exponent = -exponent
+    exponent = -0.5 if params.convention == CONVENTION_PAPER else 0.5
     return v ** exponent
 
 

@@ -10,8 +10,15 @@ hand-rolled so gradients are exact and runs are bit-reproducible.
 
 The public passes take and return (B, C, H, W) batches; between the input and
 output transposes the layer primitives work on channels-last (B, H, W, C)
-arrays, each conv as one im2col patch matrix times the kernel reordered to
-(kh*kw*in, out). Kernels are stored (out, in, kh, kw), as in checkpoints.
+arrays. The kernel's shape picks how a conv runs. With at most as many input
+as output channels (at the default widths, the encoder), it is one im2col
+patch matrix times the kernel reordered to (kh*kw*in, out), and the patch
+matrix is kept for the weight gradient. With more input than output channels
+(the decoder and the head), it is kh*kw GEMMs over shifted row ranges of the
+flattened zero-padded input ("kn2row"), so no patch matrix is built; the
+weight gradient then comes from the patch matrix of the padded output
+gradient, which the input gradient needs anyway. Kernels are stored
+(out, in, kh, kw), as in checkpoints.
 """
 
 from __future__ import annotations
@@ -104,7 +111,9 @@ def init_weights(seed: int, channels: tuple[int, ...] = DEFAULT_CHANNELS) -> Net
 # ---------------------------------------------------------------------------
 # Layer primitives on channels-last (B, H, W, C) batches. A 3x3 conv reads its
 # input from a zero-bordered (B, H+2, W+2, C) buffer that the previous layer
-# wrote into; the 1x1 head reads the last activation as it is.
+# wrote into; the 1x1 head reads the last activation as it is. The backward
+# pass of a conv reads what its forward pass saved: the patch matrix, or for
+# a conv with more input than output channels, the padded input.
 # ---------------------------------------------------------------------------
 
 def _padded(x: np.ndarray, p: int) -> np.ndarray:
@@ -130,8 +139,12 @@ def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
 
 def _conv_forward(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Padded input -> (B, H, W, out) pre-activation and the patch matrix."""
+    """Padded input -> (B, H, W, out) pre-activation and what the backward
+    pass reads: the patch matrix, or the padded input itself for a conv with
+    more input than output channels."""
     out_c, in_c, k, _ = kernel.shape
+    if in_c > out_c:
+        return _shifted_forward(xp, kernel, bias), xp
     b, hp, wp, _ = xp.shape
     cols = _im2col(xp, k)
     y = cols @ kernel.transpose(2, 3, 1, 0).reshape(k * k * in_c, out_c)
@@ -139,21 +152,54 @@ def _conv_forward(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray
     return y.reshape(b, hp - k + 1, wp - k + 1, out_c), cols
 
 
-def _conv_backward(dy: np.ndarray, cols: np.ndarray, kernel: np.ndarray,
+def _shifted_forward(xp: np.ndarray, kernel: np.ndarray, bias: np.ndarray
+                     ) -> np.ndarray:
+    """The conv as k*k GEMMs, one per tap, each over a shifted row range of
+    the flattened padded input and accumulated into an output laid out on the
+    padded grid. Returns a view of the output's interior; the other rows hold
+    sums across the seams between image rows and images and are never read."""
+    out_c, in_c, k, _ = kernel.shape
+    b, hp, wp, _ = xp.shape
+    p = k // 2
+    x = xp.reshape(-1, in_c)
+    lo, hi = p * wp + p, x.shape[0] - p * wp - p  # rows whose taps stay in x
+    y = np.empty((b, hp, wp, out_c))
+    acc = y.reshape(-1, out_c)[lo:hi]
+    acc[...] = bias
+    taps = kernel.transpose(2, 3, 1, 0)
+    for i in range(k):
+        for j in range(k):
+            s = (i - p) * wp + (j - p)
+            acc += x[lo + s:hi + s] @ taps[i, j]
+    return y[:, p:hp - p, p:wp - p]
+
+
+def _conv_backward(dy: np.ndarray, saved: np.ndarray, kernel: np.ndarray,
                    need_dx: bool = True
                    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """dy: (B, H, W, out) -> dx (B, H, W, in), dkernel, dbias."""
+    """dy: (B, H, W, out) -> dx (B, H, W, in), dkernel, dbias, from what
+    `_conv_forward` saved."""
     out_c, in_c, k, _ = kernel.shape
+    p = k // 2
     dy_mat = dy.reshape(-1, out_c)
-    dk = np.ascontiguousarray(
-        (cols.T @ dy_mat).reshape(k, k, in_c, out_c).transpose(3, 2, 0, 1))
     db = dy_mat.sum(axis=0)
+    if in_c > out_c:
+        # column (i, j, o) of the padded dy's patch matrix meets each input
+        # pixel through kernel tap (k-1-i, k-1-j)
+        b, hp, wp, _ = saved.shape
+        x = saved[:, p:hp - p, p:wp - p].reshape(-1, in_c)
+        dcols = _im2col(_padded(dy, p), k)
+        dk = (x.T @ dcols).reshape(in_c, k, k, out_c)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+    else:
+        dk = (saved.T @ dy_mat).reshape(k, k, in_c, out_c).transpose(3, 2, 0, 1)
+        dcols = _im2col(_padded(dy, p), k) if need_dx else None
+    dk = np.ascontiguousarray(dk)
     if not need_dx:
         return None, dk, db
     # input gradient = same-padding convolution of dy with the channel-swapped,
     # spatially flipped kernel (valid for odd k)
     flipped = kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * out_c, in_c)
-    dx = _im2col(_padded(dy, k // 2), k) @ flipped
+    dx = dcols @ flipped
     return dx.reshape(dy.shape[:3] + (in_c,)), dk, db
 
 
@@ -231,14 +277,14 @@ def forward_batch(w: NetWeights, x: np.ndarray
     the skip write the two channel ranges of the decoder level's buffer."""
     _check_divisible(x.shape[2:], w.levels)
     ch = w.channels
-    cache = []  # per layer: (patch matrix, post-activation or None)
+    cache = []  # per layer: (what _conv_forward saved, post-activation or None)
     dec_bufs = {}
     buf = _padded(x.transpose(0, 2, 3, 1), 1)
     layer = 0
     for lvl in range(w.levels):
-        h, cols = _conv_forward(buf, w.kernels[layer], w.biases[layer])
+        h, saved = _conv_forward(buf, w.kernels[layer], w.biases[layer])
         _leaky_forward(h)
-        cache.append((cols, h))
+        cache.append((saved, h))
         if lvl < w.levels - 1:
             b, hh, ww, _ = h.shape
             dec_bufs[lvl] = np.zeros((b, hh + 2, ww + 2, ch[lvl + 1] + ch[lvl]))
@@ -249,12 +295,12 @@ def forward_batch(w: NetWeights, x: np.ndarray
     for lvl in range(w.levels - 2, -1, -1):
         buf = dec_bufs[lvl]
         _upsample_forward(h, buf[:, 1:-1, 1:-1, :ch[lvl + 1]])
-        h, cols = _conv_forward(buf, w.kernels[layer], w.biases[layer])
+        h, saved = _conv_forward(buf, w.kernels[layer], w.biases[layer])
         _leaky_forward(h)
-        cache.append((cols, h))
+        cache.append((saved, h))
         layer += 1
-    y, cols = _conv_forward(h, w.kernels[layer], w.biases[layer])
-    cache.append((cols, None))
+    y, saved = _conv_forward(h, w.kernels[layer], w.biases[layer])
+    cache.append((saved, None))
     return y.transpose(0, 3, 1, 2), cache
 
 
@@ -272,20 +318,20 @@ def backward_batch(w: NetWeights, cache: list, dy: np.ndarray
     dskips = {}
     for lvl in range(0, w.levels - 1):  # decoder layers, shallowest first in cache order
         layer -= 1
-        cols, post = cache[layer]
+        saved, post = cache[layer]
         dcat, dks[layer], dbs[layer] = _conv_backward(
-            _leaky_backward(post, dh), cols, w.kernels[layer])
+            _leaky_backward(post, dh), saved, w.kernels[layer])
         up_c = w.channels[lvl + 1]
         dskips[lvl] = dcat[..., up_c:]
         dh = _upsample_backward(dcat[..., :up_c])
 
     for lvl in range(w.levels - 1, -1, -1):  # encoder layers, deepest first
         layer -= 1
-        cols, post = cache[layer]
+        saved, post = cache[layer]
         if lvl < w.levels - 1:
             dh += dskips[lvl]
         dh, dks[layer], dbs[layer] = _conv_backward(
-            _leaky_backward(post, dh), cols, w.kernels[layer], need_dx=lvl > 0)
+            _leaky_backward(post, dh), saved, w.kernels[layer], need_dx=lvl > 0)
         if lvl > 0:
             dh = _pool_backward(dh)
     return dks, dbs

@@ -55,17 +55,9 @@ class TestEnergyParams:
         assert (p.mu_tissue, p.mu_csf) == (1.0, 0.01)
         assert (p.lambda1, p.lambda2) == (0.1, 100.0)
 
-    def test_3d_exponents(self):
-        p = EnergyParams(alpha=2.0 / 3.0, beta=3.0, d=3)
-        assert p.d == 3
-
     def test_wrong_exponents_rejected(self):
         with pytest.raises(InvalidSpec):
             EnergyParams(alpha=0.5)
-
-    def test_bad_dimension(self):
-        with pytest.raises(InvalidSpec):
-            EnergyParams(d=4)
 
     def test_nonpositive_modulus(self):
         with pytest.raises(InvalidSpec):

@@ -80,52 +80,66 @@ class TestInitWeights:
 
 class TestConvLayer:
     # The layer primitives work on channels-last (B, H, W, C) arrays; a 3x3
-    # conv reads a zero-bordered (B, H+2, W+2, C) buffer.
+    # conv reads a zero-bordered (B, H+2, W+2, C) buffer. A conv with more
+    # input than output channels runs as shifted GEMMs over that buffer, whose
+    # row ranges cross the row and batch seams, so those cases use B=2 and a
+    # non-square grid (a swapped row stride only shows there).
+    # (batch, height, width, in, out, kernel size) with in > out
+    MORE_INPUTS = [(2, 5, 7, 5, 3, 3), (2, 5, 7, 5, 3, 1)]
+
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 4, 4, 3))
-        kernel = np.zeros((3, 3, 3, 3))
-        for c in range(3):
-            kernel[c, c, 1, 1] = 1.0
-        y, _ = _conv_forward(_padded(x, 1), kernel, np.zeros(3))
-        assert np.allclose(y, x)
+        for h, w, in_c, out_c in ((4, 4, 3, 3), (4, 6, 5, 3)):
+            x = rng.normal(size=(2, h, w, in_c))
+            kernel = np.zeros((out_c, in_c, 3, 3))
+            for c in range(out_c):
+                kernel[c, c, 1, 1] = 1.0
+            y, _ = _conv_forward(_padded(x, 1), kernel, np.zeros(out_c))
+            assert np.allclose(y, x[..., :out_c])
 
     def test_matches_direct_loop(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 5, 5, 2))
-        kernel = rng.normal(size=(3, 2, 3, 3))
-        bias = rng.normal(size=3)
-        y, _ = _conv_forward(_padded(x, 1), kernel, bias)
-        xp = np.zeros((1, 2, 7, 7))
-        xp[:, :, 1:-1, 1:-1] = x.transpose(0, 3, 1, 2)
-        for oc in range(3):
-            for yy in range(5):
-                for xx in range(5):
-                    ref = bias[oc] + np.sum(
-                        kernel[oc] * xp[0, :, yy:yy + 3, xx:xx + 3])
-                    assert np.isclose(y[0, yy, xx, oc], ref)
+        for b, h, w, in_c, out_c, k in [(1, 5, 5, 2, 3, 3)] + self.MORE_INPUTS:
+            p = k // 2
+            x = rng.normal(size=(b, h, w, in_c))
+            kernel = rng.normal(size=(out_c, in_c, k, k))
+            bias = rng.normal(size=out_c)
+            y, _ = _conv_forward(_padded(x, p), kernel, bias)
+            assert y.shape == (b, h, w, out_c)
+            xp = np.zeros((b, in_c, h + 2 * p, w + 2 * p))
+            xp[:, :, p:p + h, p:p + w] = x.transpose(0, 3, 1, 2)
+            for n in range(b):
+                for oc in range(out_c):
+                    for yy in range(h):
+                        for xx in range(w):
+                            ref = bias[oc] + np.sum(
+                                kernel[oc] * xp[n, :, yy:yy + k, xx:xx + k])
+                            assert np.isclose(y[n, yy, xx, oc], ref)
 
     def test_backward_matches_finite_difference(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 4, 4, 2))
-        kernel = rng.normal(size=(3, 2, 3, 3))
-        bias = rng.normal(size=3)
-        dy = rng.normal(size=(1, 4, 4, 3))
-        y, cols = _conv_forward(_padded(x, 1), kernel, bias)
-        dx, dk, db = _conv_backward(dy, cols, kernel)
-        step = 1e-6
-        for arr, grad in ((x, dx), (kernel, dk), (bias, db)):
-            flat = arr.reshape(-1)
-            for idx in rng.choice(flat.size, size=min(6, flat.size),
-                                  replace=False):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                hi = float(np.sum(_conv_forward(_padded(x, 1), kernel, bias)[0] * dy))
-                flat[idx] = orig - step
-                lo = float(np.sum(_conv_forward(_padded(x, 1), kernel, bias)[0] * dy))
-                flat[idx] = orig
-                assert np.isclose(grad.reshape(-1)[idx],
-                                  (hi - lo) / (2 * step), atol=1e-5)
+        for b, h, w, in_c, out_c, k in [(1, 4, 4, 2, 3, 3)] + self.MORE_INPUTS:
+            p = k // 2
+            x = rng.normal(size=(b, h, w, in_c))
+            kernel = rng.normal(size=(out_c, in_c, k, k))
+            bias = rng.normal(size=out_c)
+            dy = rng.normal(size=(b, h, w, out_c))
+            y, saved = _conv_forward(_padded(x, p), kernel, bias)
+            dx, dk, db = _conv_backward(dy, saved, kernel)
+            step = 1e-6
+            for arr, grad in ((x, dx), (kernel, dk), (bias, db)):
+                assert grad.shape == arr.shape
+                flat = arr.reshape(-1)
+                for idx in rng.choice(flat.size, size=min(6, flat.size),
+                                      replace=False):
+                    orig = flat[idx]
+                    flat[idx] = orig + step
+                    hi = float(np.sum(_conv_forward(_padded(x, p), kernel, bias)[0] * dy))
+                    flat[idx] = orig - step
+                    lo = float(np.sum(_conv_forward(_padded(x, p), kernel, bias)[0] * dy))
+                    flat[idx] = orig
+                    assert np.isclose(grad.reshape(-1)[idx],
+                                      (hi - lo) / (2 * step), atol=1e-5)
 
 
 class TestLeaky:
@@ -357,25 +371,28 @@ def _ref_network(kernels, biases, channels, x, dy):
 class TestWholeNetworkReference:
     def test_forward_and_weight_gradients_match_loop_reference(self):
         rng = np.random.default_rng(11)
-        w = init_weights(2, channels=(4, 8, 16))
-        for k, b in zip(w.kernels, w.biases):
-            k += rng.normal(0.0, 0.1, k.shape)
-            b += rng.normal(0.0, 0.1, b.shape)
-        x = rng.normal(size=(2, IN_CHANNELS, 8, 8))
-        dy = rng.normal(size=(2, 2, 8, 8))
-        y_ref, grads_ref = _ref_network(w.kernels, w.biases, w.channels, x, dy)
-
-        y, cache = forward_batch(w, x)
-        dks, dbs = backward_batch(w, cache, dy)
 
         def assert_rel_close(got, ref):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        assert_rel_close(y, y_ref)
-        for dk, db, (dk_ref, db_ref) in zip(dks, dbs, grads_ref):
-            assert_rel_close(dk, dk_ref)
-            assert_rel_close(db, db_ref)
+        # the non-square grid catches a swapped row stride in the shifted GEMMs
+        for batch, height, width in ((2, 8, 8), (3, 8, 16)):
+            w = init_weights(2, channels=(4, 8, 16))
+            for k, b in zip(w.kernels, w.biases):
+                k += rng.normal(0.0, 0.1, k.shape)
+                b += rng.normal(0.0, 0.1, b.shape)
+            x = rng.normal(size=(batch, IN_CHANNELS, height, width))
+            dy = rng.normal(size=(batch, 2, height, width))
+            y_ref, grads_ref = _ref_network(w.kernels, w.biases, w.channels, x, dy)
+
+            y, cache = forward_batch(w, x)
+            dks, dbs = backward_batch(w, cache, dy)
+
+            assert_rel_close(y, y_ref)
+            for dk, db, (dk_ref, db_ref) in zip(dks, dbs, grads_ref):
+                assert_rel_close(dk, dk_ref)
+                assert_rel_close(db, db_ref)
 
 
 class TestZeroHeadBiasGradient:
