@@ -3,9 +3,7 @@
 from .biomech import (
     EnergyParams,
     LossBreakdown,
-    elastic_gradient,
     growth_scale,
-    growth_tensor,
     material_map,
     strain_energy_density,
     total_loss,

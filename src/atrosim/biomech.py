@@ -1,37 +1,43 @@
 """Growth decomposition, Neo-Hookean strain energy, and the total loss.
 
 The deformation gradient F = I + grad(u) is split multiplicatively into a
-prescribed isotropic growth G and an elastic part F_K = F . G^-1. The elastic
-part is penalized with a compressible Neo-Hookean energy
-    W = (mu/2) [Tr(F_K F_K^T) J^(-alpha) - beta] + (K/2) (J - 1)^2,
+prescribed isotropic growth G = g I and an elastic part F_K = F / g. The
+elastic part is penalized with a compressible Neo-Hookean energy
+    W = (mu/2) [Tr(F_K F_K^T) J^(-ALPHA) - BETA] + (K/2) (J - 1)^2,
 with J = det(F_K) and K = bulk_ratio * mu. The total objective adds quadratic
 penalties keeping the background still and pinning the brain's center of mass.
+
+This module owns W: `loss_stage` evaluates the objective in the scratch planes
+of a `LossContext`, and `strain_energy_density` runs the same W code on given
+F_K planes. `gradients.loss_and_gradient` runs the loss stage and then its
+gradient stage, which reads the planes the loss stage leaves behind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidSpec,
-    InvertedElement,
-    NonPositiveAtrophy,
-    ShapeMismatch,
-    SingularGrowth,
-)
+from .errors import InvalidSpec, InvertedElement, NonPositiveAtrophy, ShapeMismatch
 from .fields import (
+    BACKGROUND,
     BRAIN_LABELS,
     CSF,
     DisplacementField,
     LabelField,
     ScalarField,
     TensorField,
+    center_of_mass,
+    d_dx,
+    d_dy,
 )
 
 J_FLOOR = 1e-6  # below this, a material pixel counts as inverted
-G_FLOOR = 1e-12
+
+# The Neo-Hookean exponents of a 2D grid.
+ALPHA = 1.0
+BETA = 2.0
 
 CONVENTION_PAPER = "paper"        # G = a^(-1/2) I (inverse reading of a)
 CONVENTION_JACOBIAN = "jacobian"  # G = a^(+1/2) I, so det(G) = a
@@ -41,12 +47,10 @@ CONVENTION_JACOBIAN = "jacobian"  # G = a^(+1/2) I, so det(G) = a
 class EnergyParams:
     """Material constants and penalty weights of the objective.
 
-    Defaults follow the 2D setting: alpha=1, beta=2, K = 100 mu, mu = 1 for
-    tissue and 0.01 for quasi-free CSF, lambda1 = 1e-1, lambda2 = 1e2.
+    Defaults follow the 2D setting: K = 100 mu, mu = 1 for tissue and 0.01
+    for quasi-free CSF, lambda1 = 1e-1, lambda2 = 1e2.
     """
 
-    alpha: float = 1.0
-    beta: float = 2.0
     bulk_ratio: float = 100.0
     mu_tissue: float = 1.0
     mu_csf: float = 0.01
@@ -55,10 +59,6 @@ class EnergyParams:
     convention: str = CONVENTION_JACOBIAN
 
     def __post_init__(self):
-        if not (np.isclose(self.alpha, 1.0) and np.isclose(self.beta, 2.0)):
-            raise InvalidSpec(
-                f"exponents (alpha, beta) must be (1, 2) on a 2D grid, "
-                f"got ({self.alpha}, {self.beta})")
         if self.bulk_ratio <= 0 or self.mu_tissue <= 0 or self.mu_csf <= 0:
             raise InvalidSpec("bulk_ratio and shear moduli must be positive")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -94,55 +94,155 @@ def growth_scale(a: ScalarField, params: EnergyParams) -> np.ndarray:
     return v ** exponent
 
 
-def growth_tensor(a: ScalarField, params: EnergyParams) -> TensorField:
-    g = growth_scale(a, params)
-    m = np.zeros(a.shape + (2, 2))
-    m[..., 0, 0] = g
-    m[..., 1, 1] = g
-    return TensorField(m)
+_N_SCRATCH = 12  # float planes the kernel computes in, besides one bool plane
 
 
-def elastic_gradient(F: TensorField, G: TensorField) -> TensorField:
-    """F_K = F . G^-1 for isotropic diagonal G."""
-    if F.shape != G.shape:
-        raise ShapeMismatch("F and G dimensions differ")
-    g00 = G.m[..., 0, 0]
-    g11 = G.m[..., 1, 1]
-    if np.any(g00 <= G_FLOOR) or np.any(g11 <= G_FLOOR):
-        raise SingularGrowth("growth tensor has a near-zero diagonal entry")
-    fk = np.empty_like(F.m)
-    fk[..., :, 0] = F.m[..., :, 0] / g00[..., None]
-    fk[..., :, 1] = F.m[..., :, 1] / g11[..., None]
-    return TensorField(fk)
+@dataclass
+class _Moduli:
+    """The per-pixel constants W and its stress multiply by, each grouped as
+    the energy formula groups it, and the scratch planes the kernel computes
+    in. Because of the scratch, one instance serves one evaluation at a time."""
+
+    params: EnergyParams
+    mu: np.ndarray
+    material: np.ndarray = field(repr=False)           # mu > 0
+    off_material: np.ndarray = field(repr=False)
+    half_mu: np.ndarray = field(repr=False)            # 0.5 * mu
+    kappa: np.ndarray = field(repr=False)              # bulk_ratio * mu
+    half_kappa: np.ndarray = field(repr=False)         # 0.5 * kappa
+    neg_half_alpha_mu: np.ndarray = field(repr=False)  # (-ALPHA * 0.5) * mu
+    scratch: tuple = field(repr=False)
+
+    @classmethod
+    def of(cls, mu: np.ndarray, params: EnergyParams, **more):
+        """A `cls` for the shear moduli `mu`; `more` fills a subclass's fields."""
+        kappa = params.bulk_ratio * mu
+        return cls(
+            params=params,
+            mu=mu,
+            material=mu > 0.0,
+            off_material=mu <= 0.0,
+            half_mu=0.5 * mu,
+            kappa=kappa,
+            half_kappa=0.5 * kappa,
+            neg_half_alpha_mu=-ALPHA * 0.5 * mu,
+            scratch=tuple(np.empty(mu.shape) for _ in range(_N_SCRATCH))
+                    + (np.empty(mu.shape, dtype=bool),),
+            **more,
+        )
 
 
-def _energy_density_values(fk: np.ndarray, mu: np.ndarray,
-                           params: EnergyParams) -> np.ndarray:
-    material = mu > 0.0
-    jac = fk[..., 0, 0] * fk[..., 1, 1] - fk[..., 0, 1] * fk[..., 1, 0]
-    if np.any(material & (jac <= J_FLOOR)):
+@dataclass
+class LossContext(_Moduli):
+    """Static (u-independent) data for repeated loss/gradient evaluation: the
+    moduli and scratch, and the other maps the objective is defined by."""
+
+    g: np.ndarray
+    background: np.ndarray
+    center: tuple[int, int]
+    bg_weight: np.ndarray = field(repr=False)  # 2 lambda1 on background, else 0
+
+    @staticmethod
+    def build(a: ScalarField, labels: LabelField,
+              params: EnergyParams) -> "LossContext":
+        if a.shape != labels.shape:
+            raise ShapeMismatch("atrophy and labels dimensions differ")
+        background = labels.labels == BACKGROUND
+        return LossContext.of(
+            material_map(labels, params), params,
+            g=growth_scale(a, params),
+            background=background,
+            center=center_of_mass(labels, BRAIN_LABELS),
+            bg_weight=np.where(background, 2.0 * params.lambda1, 0.0),
+        )
+
+
+def _energy_density(m: _Moduli, k00, k01, k10, k11) -> np.ndarray:
+    """W per pixel from the F_K planes, into a scratch plane of `m`.
+
+    It leaves J (set to 1 off material, where mu = kappa = 0 make every energy
+    and stress term exactly zero), tr(F_K F_K^T), J^-ALPHA and J - 1 in their
+    scratch planes. Raises InvertedElement when det(F_K) <= 1e-6 on a material
+    pixel.
+    """
+    jac, trace, j_pow, w, jm1, _, _, tmp, flags = m.scratch[4:]
+    np.multiply(k00, k11, out=jac)
+    jac -= np.multiply(k01, k10, out=tmp)
+    np.less_equal(jac, J_FLOOR, out=flags)
+    flags &= m.material
+    if flags.any():
         raise InvertedElement("det(F_K) <= 1e-6 on a material pixel")
-    jac_safe = np.where(material, jac, 1.0)
-    trace = np.einsum("...ij,...ij->...", fk, fk)
-    kappa = params.bulk_ratio * mu
-    w = 0.5 * mu * (trace * jac_safe ** (-params.alpha) - params.beta) \
-        + 0.5 * kappa * (jac_safe - 1.0) ** 2
-    return np.where(material, w, 0.0)
+    np.copyto(jac, 1.0, where=m.off_material)
+    np.square(k00, out=trace)
+    trace += np.square(k01, out=tmp)
+    trace += np.square(k10, out=tmp)
+    trace += np.square(k11, out=tmp)
+    np.power(jac, -ALPHA, out=j_pow)
+    np.subtract(jac, 1.0, out=jm1)
+
+    # W = 0.5 mu (tr J^-a - beta) + 0.5 kappa (J - 1)^2
+    np.multiply(trace, j_pow, out=w)
+    w -= BETA
+    w *= m.half_mu
+    np.square(jm1, out=tmp)
+    tmp *= m.half_kappa
+    w += tmp
+    return w
+
+
+def loss_stage(u: DisplacementField, ctx: LossContext) -> LossBreakdown:
+    """The objective at u: summed W plus the two penalties.
+
+    It computes in the context's scratch planes, with the operations and
+    grouping of the formulas in the comments, so the result is the same to the
+    bit whatever the scratch held. It leaves F_K in the first four planes and
+    the planes of `_energy_density` for the gradient stage. Raises
+    ShapeMismatch when u is not on the context's grid and InvertedElement
+    when det(F_K) <= 1e-6 on a material pixel.
+    """
+    if u.shape != ctx.mu.shape:
+        raise ShapeMismatch(f"displacement is {u.shape}, the context is {ctx.mu.shape}")
+    params = ctx.params
+    g = ctx.g
+    k00, k01, k10, k11 = ctx.scratch[:4]
+
+    # F = I + grad(u); F_K = F / g
+    d_dx(u.ux, out=k00)
+    k00 += 1.0
+    k00 /= g
+    d_dy(u.ux, out=k01)
+    k01 /= g
+    d_dx(u.uy, out=k10)
+    k10 /= g
+    d_dy(u.uy, out=k11)
+    k11 += 1.0
+    k11 /= g
+    energy = float(np.sum(_energy_density(ctx, k00, k01, k10, k11)))
+
+    bg = ctx.background
+    bg_pen = float(np.sum(u.ux[bg] ** 2) + np.sum(u.uy[bg] ** 2))
+    cx, cy = ctx.center
+    c_pen = float(u.ux[cy, cx] ** 2 + u.uy[cy, cx] ** 2)
+    total = energy + params.lambda1 * bg_pen + params.lambda2 * c_pen
+    return LossBreakdown(total=total, energy=energy,
+                         background_penalty=bg_pen, center_penalty=c_pen)
 
 
 def strain_energy_density(F_K: TensorField, mu: np.ndarray,
                           params: EnergyParams) -> ScalarField:
     """Per-pixel Neo-Hookean energy; mu = 0 pixels contribute exactly zero."""
     mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), F_K.shape)
-    return ScalarField(_energy_density_values(F_K.m, mu, params))
+    fk = F_K.m
+    w = _energy_density(_Moduli.of(mu, params),
+                        fk[..., 0, 0], fk[..., 0, 1], fk[..., 1, 0], fk[..., 1, 1])
+    return ScalarField(w)
 
 
 def total_loss(u: DisplacementField, a: ScalarField, labels: LabelField,
                params: EnergyParams) -> LossBreakdown:
     """Objective value: summed energy + weighted background and center penalties.
 
-    This is the breakdown `gradients.loss_and_gradient` returns, so the two
-    agree to the bit.
+    This is the loss stage of `gradients.loss_and_gradient`, so the two agree
+    to the bit.
     """
-    from .gradients import LossContext, loss_and_gradient  # gradients imports biomech
-    return loss_and_gradient(u, LossContext.build(a, labels, params))[0]
+    return loss_stage(u, LossContext.build(a, labels, params))

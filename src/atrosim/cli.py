@@ -51,7 +51,7 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 def _load_config(args) -> fieldio.RunConfig:
     cfg = fieldio.load_config(args.config) if args.config else fieldio.RunConfig()
     for key in ("seed", "max_iters", "epochs", "batch_size", "learning_rate"):
-        val = getattr(args, key.replace("-", "_"), None)
+        val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "brain_only", False):
@@ -184,8 +184,8 @@ def _cmd_solve(args) -> int:
     a = _require_kind(fieldio.read_field(args.atrophy), ScalarField, "--atrophy")
     labels = _require_kind(fieldio.read_field(args.labels), LabelField, "--labels")
     params = _energy_params(cfg)
-    opts = SolveOptions(max_iters=cfg.max_iters,
-                        learning_rate=cfg.learning_rate or 1e-2,
+    lr = SolveOptions.learning_rate if cfg.learning_rate is None else cfg.learning_rate
+    opts = SolveOptions(max_iters=cfg.max_iters, learning_rate=lr,
                         brain_only=cfg.brain_only)
     u, report = solve_displacement(a, labels, params, opts)
     fieldio.write_field(args.out_u, u)
@@ -246,9 +246,9 @@ def _load_dataset(args, cfg) -> list[tuple[ScalarField, LabelField]]:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(args, cfg)
+    lr = TrainOptions.learning_rate if cfg.learning_rate is None else cfg.learning_rate
     opts = TrainOptions(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                        learning_rate=cfg.learning_rate or 1e-4,
-                        seed=cfg.seed, params=_energy_params(cfg))
+                        learning_rate=lr, seed=cfg.seed, params=_energy_params(cfg))
     weights, log = train(dataset, opts)
     save_checkpoint(args.checkpoint, weights)
     _write_csv(args.loss_csv, ["epoch", "mean_loss"],

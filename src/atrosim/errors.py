@@ -17,10 +17,6 @@ class NonPositiveAtrophy(AtrosimError):
     pass
 
 
-class SingularGrowth(AtrosimError):
-    pass
-
-
 class InvertedElement(AtrosimError):
     """A material pixel reached det(F_K) <= 1e-6; the energy is undefined there."""
 

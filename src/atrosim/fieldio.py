@@ -10,11 +10,12 @@ Round-trips are bit-exact.
 from __future__ import annotations
 
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .biomech import CONVENTION_JACOBIAN, CONVENTION_PAPER
+from .biomech import CONVENTION_JACOBIAN, CONVENTION_PAPER, EnergyParams
 from .errors import (
     BadMagic,
     ConfigError,
@@ -24,6 +25,8 @@ from .errors import (
     UnsupportedVersion,
 )
 from .fields import DisplacementField, LabelField, ScalarField
+from .solver import SolveOptions
+from .training import TrainOptions
 
 MAGIC = b"ATRF"
 VERSION = 1
@@ -112,35 +115,30 @@ def export_pgm(field: ScalarField, path, lo: float, hi: float) -> None:
 
 @dataclass
 class RunConfig:
-    convention: str = CONVENTION_JACOBIAN
-    mu_tissue: float = 1.0
-    mu_csf: float = 0.01
-    bulk_ratio: float = 100.0
-    lambda1: float = 0.1
-    lambda2: float = 100.0
-    learning_rate: float | None = None  # per-command default when unset
-    max_iters: int = 2000
-    epochs: int = 1000
-    batch_size: int = 8
-    seed: int = 0
-    brain_only: bool = False
+    """Every key a config file may set; the defaults are those of the option
+    dataclasses each key is passed on to."""
+
+    convention: str = EnergyParams.convention
+    mu_tissue: float = EnergyParams.mu_tissue
+    mu_csf: float = EnergyParams.mu_csf
+    bulk_ratio: float = EnergyParams.bulk_ratio
+    lambda1: float = EnergyParams.lambda1
+    lambda2: float = EnergyParams.lambda2
+    learning_rate: float | None = None  # the command's options default when unset
+    max_iters: int = SolveOptions.max_iters
+    epochs: int = TrainOptions.epochs
+    batch_size: int = TrainOptions.batch_size
+    seed: int = TrainOptions.seed
+    brain_only: bool = SolveOptions.brain_only
 
 
-_PARSERS = {
-    "convention": str,
-    "mu_tissue": float,
-    "mu_csf": float,
-    "bulk_ratio": float,
-    "lambda1": float,
-    "lambda2": float,
-    "learning_rate": float,
-    "max_iters": int,
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "brain_only": lambda s: {"true": True, "false": False,
-                             "1": True, "0": False}[s.lower()],
-}
+def _parse_bool(s: str) -> bool:
+    return {"true": True, "false": False, "1": True, "0": False}[s.lower()]
+
+
+# Each value parses with its field's type; `float | None` parses as float.
+_PARSERS = {name: _parse_bool if kind is bool else (typing.get_args(kind) or (kind,))[0]
+            for name, kind in typing.get_type_hints(RunConfig).items()}
 
 
 def parse_config(text: str) -> RunConfig:

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atrosim.biomech import (
+    ALPHA,
+    BETA,
     CONVENTION_JACOBIAN,
     CONVENTION_PAPER,
     EnergyParams,
-    elastic_gradient,
     growth_scale,
-    growth_tensor,
     material_map,
     strain_energy_density,
     total_loss,
@@ -19,7 +19,6 @@ from atrosim.errors import (
     InvertedElement,
     NonPositiveAtrophy,
     ShapeMismatch,
-    SingularGrowth,
 )
 from atrosim.fields import (
     BACKGROUND,
@@ -51,13 +50,9 @@ def simple_labels(h=6, w=6):
 class TestEnergyParams:
     def test_defaults(self):
         p = EnergyParams()
-        assert (p.alpha, p.beta, p.bulk_ratio) == (1.0, 2.0, 100.0)
+        assert (ALPHA, BETA, p.bulk_ratio) == (1.0, 2.0, 100.0)
         assert (p.mu_tissue, p.mu_csf) == (1.0, 0.01)
         assert (p.lambda1, p.lambda2) == (0.1, 100.0)
-
-    def test_wrong_exponents_rejected(self):
-        with pytest.raises(InvalidSpec):
-            EnergyParams(alpha=0.5)
 
     def test_nonpositive_modulus(self):
         with pytest.raises(InvalidSpec):
@@ -92,31 +87,6 @@ class TestGrowthScale:
         vals[0, 0] = 0.0
         with pytest.raises(NonPositiveAtrophy):
             growth_scale(ScalarField(vals), EnergyParams())
-
-    def test_growth_tensor_diagonal(self):
-        a = ScalarField(np.full((3, 3), 1.21))
-        G = growth_tensor(a, EnergyParams())
-        assert np.allclose(G.m[..., 0, 0], 1.1)
-        assert np.allclose(G.m[..., 1, 1], 1.1)
-        assert np.all(G.m[..., 0, 1] == 0.0)
-
-
-class TestElasticGradient:
-    def test_divides_by_scale(self):
-        F = tile([[1.2, 0.1], [0.0, 0.8]])
-        G = tile([[2.0, 0.0], [0.0, 2.0]])
-        fk = elastic_gradient(F, G)
-        assert np.allclose(fk.m, F.m / 2.0)
-
-    def test_singular_growth(self):
-        F = tile(np.eye(2))
-        G = tile(np.zeros((2, 2)))
-        with pytest.raises(SingularGrowth):
-            elastic_gradient(F, G)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            elastic_gradient(tile(np.eye(2), 3, 3), tile(np.eye(2), 3, 4))
 
 
 class TestStrainEnergyDensity:

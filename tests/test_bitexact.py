@@ -18,6 +18,8 @@ from atrosim.biomech import (
     EnergyParams,
     J_FLOOR,
     LossBreakdown,
+    strain_energy_density,
+    total_loss,
 )
 from atrosim.errors import InvertedElement, SingularElastic
 from atrosim.fields import (
@@ -28,6 +30,7 @@ from atrosim.fields import (
     DisplacementField,
     LabelField,
     ScalarField,
+    TensorField,
     d_dx,
     d_dx_adjoint,
     d_dy,
@@ -98,15 +101,15 @@ def ref_loss_and_gradient(u, ctx):
     jac_safe = np.where(material, jac, 1.0)
     trace = k00 ** 2 + k01 ** 2 + k10 ** 2 + k11 ** 2
     kappa = params.bulk_ratio * mu
-    j_pow = jac_safe ** (-params.alpha)
+    j_pow = jac_safe ** (-1.0)
 
-    w = 0.5 * mu * (trace * j_pow - params.beta) + 0.5 * kappa * (jac_safe - 1.0) ** 2
+    w = 0.5 * mu * (trace * j_pow - 2.0) + 0.5 * kappa * (jac_safe - 1.0) ** 2
     energy = float(np.sum(np.where(material, w, 0.0)))
 
     lead = np.where(material, mu * j_pow, 0.0)
     coef = np.where(
         material,
-        (-params.alpha * 0.5 * mu * trace * j_pow + kappa * (jac_safe - 1.0) * jac_safe)
+        (-1.0 * 0.5 * mu * trace * j_pow + kappa * (jac_safe - 1.0) * jac_safe)
         / jac_safe,
         0.0,
     )
@@ -245,11 +248,21 @@ def phantom_case(amp, seed):
     return u, a, labels
 
 
-def assert_same_evaluation(u, ctx):
+def assert_same_evaluation(u, a, labels, params):
+    """loss_and_gradient and total_loss against the reference, and the sum of
+    strain_energy_density on the reference F_K against the reference energy:
+    one W, so the two agree to the bit."""
+    ctx = LossContext.build(a, labels, params)
     try:
         ref = ref_loss_and_gradient(u, ctx)
-    except (InvertedElement, SingularElastic) as exc:
-        with pytest.raises(type(exc)):
+    except InvertedElement:
+        with pytest.raises(InvertedElement):
+            loss_and_gradient(u, ctx)
+        with pytest.raises(InvertedElement):
+            total_loss(u, a, labels, params)
+        return False
+    except SingularElastic:
+        with pytest.raises(SingularElastic):
             loss_and_gradient(u, ctx)
         return False
     lb, gux, guy = loss_and_gradient(u, ctx)
@@ -257,6 +270,13 @@ def assert_same_evaluation(u, ctx):
     # bytes, not np.array_equal, so a flipped sign of zero counts too
     assert gux.tobytes() == ref[1].tobytes()
     assert guy.tobytes() == ref[2].tobytes()
+    assert total_loss(u, a, labels, params) == ref[0]
+
+    fk = np.stack([np.stack([ref_d_dx(u.ux) + 1.0, ref_d_dy(u.ux)], axis=-1),
+                   np.stack([ref_d_dx(u.uy), ref_d_dy(u.uy) + 1.0], axis=-1)],
+                  axis=-2) / ctx.g[..., None, None]
+    w = strain_energy_density(TensorField(fk), ctx.mu, params).values
+    assert float(np.sum(w)) == ref[0].energy
     return True
 
 
@@ -273,8 +293,7 @@ class TestKernel:
         for amp in AMPLITUDES:
             for seed in range(4):
                 u, a, labels = random_case(shape, layout, amp, seed)
-                ctx = LossContext.build(a, labels, params)
-                evaluated += assert_same_evaluation(u, ctx)
+                evaluated += assert_same_evaluation(u, a, labels, params)
         assert evaluated > 0
 
     @pytest.mark.parametrize("convention", CONVENTIONS)
@@ -283,7 +302,7 @@ class TestKernel:
         outcomes = set()
         for amp in AMPLITUDES:
             u, a, labels = phantom_case(amp, seed=3)
-            outcomes.add(assert_same_evaluation(u, LossContext.build(a, labels, params)))
+            outcomes.add(assert_same_evaluation(u, a, labels, params))
         assert outcomes == {True, False}  # both finite and inverted states
 
     def test_call_history_does_not_leak(self):

@@ -22,6 +22,15 @@ def phantom_files(tmp_path):
     return paths
 
 
+def learning_rate_args(source, lr, tmp_path):
+    """Arguments that set the learning rate by flag or by config file."""
+    if source == "flag":
+        return [f"--learning-rate={lr}"]
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(f"learning_rate = {lr}\n", encoding="utf-8")
+    return ["--config", str(cfgpath)]
+
+
 class TestUsage:
     def test_no_command(self):
         assert cli([]) == EXIT_USAGE
@@ -145,6 +154,16 @@ class TestSolveCommand:
         row = report.read_text().splitlines()[1].split(",")
         assert row[0] == "20"
 
+    @pytest.mark.parametrize("lr", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_learning_rate_fails(self, phantom_files, tmp_path, source, lr):
+        out = tmp_path / "u.atrf"
+        argv = ["solve", "--atrophy", phantom_files["atrophy"],
+                "--labels", phantom_files["labels"], "--out-u", str(out),
+                "--max-iters", "5"]
+        assert cli(argv + learning_rate_args(source, lr, tmp_path)) == EXIT_RUNTIME
+        assert not out.exists()
+
 
 class TestTrainPredictCommands:
     def test_synthetic_train_and_predict(self, phantom_files, tmp_path):
@@ -189,6 +208,16 @@ class TestTrainPredictCommands:
                   "--checkpoint", str(tmp_path / "m.nawt"),
                   "--loss-csv", str(tmp_path / "m.csv")])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("lr", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_learning_rate_fails(self, tmp_path, source, lr):
+        ckpt = tmp_path / "net.nawt"
+        argv = ["train", "--synthetic", "2", "--size", "32", "--epochs", "1",
+                "--batch-size", "2", "--checkpoint", str(ckpt),
+                "--loss-csv", str(tmp_path / "loss.csv")]
+        assert cli(argv + learning_rate_args(source, lr, tmp_path)) == EXIT_RUNTIME
+        assert not ckpt.exists()
 
     def test_train_requires_a_source(self, tmp_path):
         rc = cli(["train", "--checkpoint", str(tmp_path / "x.nawt"),

@@ -31,6 +31,9 @@ class TestSolveOptions:
             SolveOptions(max_iters=0)
         with pytest.raises(ValueError):
             SolveOptions(learning_rate=0.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolveOptions(learning_rate=lr)
 
 
 class TestSolveDisplacement:

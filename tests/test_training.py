@@ -30,6 +30,9 @@ class TestTrainOptions:
             TrainOptions(epochs=0)
         with pytest.raises(ValueError):
             TrainOptions(learning_rate=-1.0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                TrainOptions(learning_rate=lr)
 
 
 class TestTrain:
